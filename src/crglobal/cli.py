@@ -39,8 +39,10 @@ def parse_table_text(text: str) -> CayleyTable:
         doc = json.loads(text)
         return validate_table(doc["table"], doc.get("labels"))
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise SemigroupError("empty table")
     n = int(lines[0].split()[0])
-    rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : 1 + n]]
+    rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
     if len(rows) != n:
         raise SemigroupError(f"expected {n} rows, found {len(rows)}")
     return validate_table(rows)

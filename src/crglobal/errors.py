@@ -75,6 +75,18 @@ class SearchBudgetExceededError(SemigroupError):
     """Isomorphism search ran out of nodes before completing; distinct from
     a completed search that found nothing."""
 
+    def __init__(self, nodes: int, order: int, kind: str):
+        super().__init__(
+            f"{kind} isomorphism search on carriers of order {order} gave up after {nodes} nodes"
+        )
+        self.nodes = nodes
+        self.order = order
+        self.kind = kind
+
+
+class SearchResultError(SemigroupError):
+    """Isomorphism search returned a map that fails verification; signals a bug."""
+
 
 class FalsificationError(SemigroupError):
     """A verified structural claim failed on concrete data.

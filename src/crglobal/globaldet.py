@@ -22,6 +22,7 @@ from .errors import (
     OrderTooLargeError,
     PsiImageNotSingletonError,
     SearchBudgetExceededError,
+    SearchResultError,
     ThetaNotSingletonError,
     WrongComponentKindError,
 )
@@ -113,32 +114,65 @@ def _base_signature(t: CayleyTable) -> list:
 
 
 def _canon_pair(rawa: list, rawb: list) -> tuple[list[int], list[int]]:
-    ranks = {v: i for i, v in enumerate(sorted(set(rawa) | set(rawb)))}
-    return [ranks[v] for v in rawa], [ranks[v] for v in rawb]
+    # one colour per distinct signature, shared by both tables; only the
+    # partition matters, so colours are numbered in order of first appearance
+    ranks: dict = {}
+    ca = [ranks.setdefault(v, len(ranks)) for v in rawa]
+    cb = [ranks.setdefault(v, len(ranks)) for v in rawb]
+    return ca, cb
 
 
-def _refine_once(t: CayleyTable, colors: list[int]) -> list:
-    n = t.order
+def _neighbourhoods(t: CayleyTable) -> list:
+    """Per element x: the row x*y, the column y*x, and for each y four bits
+    telling whether x*y == x, x*y == y, y*x == x and y*x == y."""
     tbl = t.table
     out = []
-    for x in range(n):
-        neigh = sorted(Counter((colors[y], colors[tbl[x][y]], colors[tbl[y][x]]) for y in range(n)).items())
-        out.append((colors[x], tuple(neigh)))
+    for x, row in enumerate(tbl):
+        col = [r[x] for r in tbl]
+        flags = [
+            8 * (xy == x) + 4 * (xy == y) + 2 * (yx == x) + (yx == y)
+            for y, (xy, yx) in enumerate(zip(row, col))
+        ]
+        out.append((row, col, flags))
     return out
+
+
+def _refine_once(hoods: list, colors: list[int]) -> list:
+    get = colors.__getitem__
+    return [
+        (colors[x], frozenset(Counter(zip(colors, map(get, row), map(get, col), flags)).items()))
+        for x, (row, col, flags) in enumerate(hoods)
+    ]
 
 
 def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]:
     """Colour both tables together so equal colours mean 'possibly matched'.
 
-    Iterated refinement over the multiplication structure; sound for pruning
-    because colours are computed from isomorphism-invariant data only.
+    Starting from Green-class sizes and power orders, each round splits a
+    colour by the multiset of (colour of y, colour of x*y, colour of y*x,
+    which of x*y and y*x equal x or y) over all y, until no colour splits.
+    Sound for pruning because every ingredient is isomorphism-invariant.
+    Stops early once some colour covers different numbers of elements in
+    the two tables: refinement only splits colours, so the tables cannot be
+    isomorphic.
     """
-    ca, cb = _canon_pair(_base_signature(a), _base_signature(b))
+    same = a.table == b.table
+    basea = _base_signature(a)
+    ca, cb = _canon_pair(basea, basea if same else _base_signature(b))
+    if sorted(ca) != sorted(cb):
+        return ca, cb
+    ha = _neighbourhoods(a)
+    hb = ha if same else _neighbourhoods(b)
+    count = len(set(ca))
     while True:
-        nca, ncb = _canon_pair(_refine_once(a, ca), _refine_once(b, cb))
-        if len(set(nca) | set(ncb)) == len(set(ca) | set(cb)):
-            return nca, ncb
-        ca, cb = nca, ncb
+        rawa = _refine_once(ha, ca)
+        ca, cb = _canon_pair(rawa, rawa if same else _refine_once(hb, cb))
+        if sorted(ca) != sorted(cb):
+            return ca, cb
+        new_count = len(set(ca))
+        if new_count == count:
+            return ca, cb
+        count = new_count
 
 
 def find_isomorphisms(
@@ -150,10 +184,15 @@ def find_isomorphisms(
 ) -> list[IsoMap]:
     """Up to ``limit`` isomorphisms from ``a`` onto ``b``, by backtracking.
 
-    Candidates are pruned by joint colour refinement and assignments are
-    propagated through the product, so the search completes quickly on the
-    sizes handled here.  An exhausted search returning no map means the
-    tables are not isomorphic; running out of ``max_nodes`` raises instead.
+    Candidates are pruned by joint colour refinement, which tells elements
+    apart by the colours of their products and by which products equal one
+    of their factors (an identity from an idempotent that only absorbs part
+    of the carrier, say).  Each assignment is propagated through the
+    product against the trail of elements already assigned, so the search
+    completes quickly on the sizes handled here.  An exhausted search
+    returning no map means the tables are not isomorphic; running out of
+    ``max_nodes`` raises instead, and so does a result that fails
+    verification.
     """
     if a.order != b.order:
         return []
@@ -165,15 +204,17 @@ def find_isomorphisms(
     ta, tb = a.table, b.table
     fwd = [-1] * n
     back = [-1] * n
+    trail: list[int] = []  # assigned elements of a, in assignment order
     results: list[tuple[int, ...]] = []
     nodes = 0
 
-    def assign(i: int, j: int, trail: list[int]) -> bool:
+    def assign(i: int, j: int) -> bool:
         stack = [(i, j)]
         while stack:
             x, y = stack.pop()
-            if fwd[x] >= 0:
-                if fwd[x] != y:
+            fx = fwd[x]
+            if fx >= 0:
+                if fx != y:
                     return False
                 continue
             if back[y] >= 0 or cb[y] != ca[x]:
@@ -181,11 +222,11 @@ def find_isomorphisms(
             fwd[x] = y
             back[y] = x
             trail.append(x)
-            for z in range(n):
+            rx, ry = ta[x], tb[y]
+            for z in trail:
                 fz = fwd[z]
-                if fz >= 0:
-                    stack.append((ta[x][z], tb[y][fz]))
-                    stack.append((ta[z][x], tb[fz][y]))
+                stack.append((rx[z], ry[fz]))
+                stack.append((ta[z][x], tb[fz][y]))
         return True
 
     def dfs() -> None:
@@ -203,14 +244,15 @@ def find_isomorphisms(
         if best_i < 0:
             results.append(tuple(fwd))
             return
+        mark = len(trail)
         for j in best:
             nodes += 1
             if nodes > max_nodes:
-                raise SearchBudgetExceededError(f"isomorphism search exceeded {max_nodes} nodes")
-            trail: list[int] = []
-            if assign(best_i, j, trail):
+                raise SearchBudgetExceededError(nodes, n, kind)
+            if assign(best_i, j):
                 dfs()
-            for x in trail:
+            while len(trail) > mark:
+                x = trail.pop()
                 back[fwd[x]] = -1
                 fwd[x] = -1
             if len(results) >= limit:
@@ -219,7 +261,10 @@ def find_isomorphisms(
     dfs()
     out = []
     for forward in results:
-        assert verify_morphism(a, b, forward)
+        if not verify_morphism(a, b, forward):
+            raise SearchResultError(
+                f"{kind} isomorphism search returned {list(forward)}, which is not an isomorphism"
+            )
         out.append(IsoMap(kind, forward, _invert(forward), verified=True))
     return out
 

@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's ideal-set computations: Green
 relations are decided by mutual divisibility, products by literal set
-comprehension, and regularity by scanning for a witness.
+comprehension, regularity by scanning for a witness, and automorphisms by
+trying every permutation.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 from crglobal.core import CayleyTable
 
@@ -79,3 +82,29 @@ def oracle_leq(s: CayleyTable, a: int, b: int) -> bool:
     t = s.table
     es = [e for e in range(s.order) if t[e][e] == e]
     return any(t[e][b] == a for e in es) and any(t[b][f] == a for f in es)
+
+
+def oracle_is_isomorphism(ta, tb, forward) -> bool:
+    """forward is a bijection with forward[x*y] == forward[x]*forward[y],
+    checked by a literal loop over two tables given as nested sequences."""
+    n = len(ta)
+    if len(tb) != n or sorted(forward) != list(range(n)):
+        return False
+    return all(forward[ta[x][y]] == tb[forward[x]][forward[y]] for x in range(n) for y in range(n))
+
+
+def oracle_automorphism_count(s: CayleyTable) -> int:
+    """Number of automorphisms, by trying all n! permutations."""
+    return sum(
+        oracle_is_isomorphism(s.table, s.table, perm) for perm in permutations(range(s.order))
+    )
+
+
+def oracle_power_rows(s: CayleyTable) -> list[list[int]]:
+    """The power semigroup's product over mask-1 indices, from literal set
+    products."""
+    subsets = [
+        {e for e in range(s.order) if mask >> e & 1} for mask in range(1, 1 << s.order)
+    ]
+    index = {frozenset(a): i for i, a in enumerate(subsets)}
+    return [[index[frozenset(oracle_subset_product(s, a, b))] for b in subsets] for a in subsets]

@@ -50,6 +50,19 @@ def test_analyze_malformed(tmp_path, capsys):
     assert main(["analyze", path]) == 2
 
 
+def test_analyze_rejects_trailing_rows(tmp_path, capsys):
+    path = write(tmp_path, "extra.txt", table_text(families.left_zero(3)) + "9 9 9\n")
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expected 3 rows, found 4\n"
+
+
+def test_analyze_rejects_empty_file(tmp_path, capsys):
+    path = write(tmp_path, "empty.txt", "\n")
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == "error: empty table\n"
+
+
 def test_breakable_cyclic_2(tmp_path, capsys):
     path = write(tmp_path, "z2.txt", table_text(families.cyclic_group(2)))
     assert main(["breakable", path]) == 0

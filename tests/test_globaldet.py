@@ -1,10 +1,15 @@
-import pytest
+import random
 
-from crglobal import families
+import pytest
+from oracles import oracle_automorphism_count, oracle_is_isomorphism, oracle_power_rows
+
+from crglobal import families, globaldet
+from crglobal.cli import main, table_to_json
 from crglobal.core import bits, is_left_zero, validate_table
 from crglobal.errors import (
     OrderTooLargeError,
     SearchBudgetExceededError,
+    SearchResultError,
     ThetaNotSingletonError,
     WrongComponentKindError,
 )
@@ -44,6 +49,79 @@ def test_find_isomorphisms_budget():
     z3 = families.cyclic_group(3)
     with pytest.raises(SearchBudgetExceededError):
         find_isomorphisms(z3, z3, max_nodes=0)
+
+
+def test_find_isomorphisms_budget_message():
+    p = power_table(families.left_zero(3))  # a left zero semigroup with 7! automorphisms
+    with pytest.raises(SearchBudgetExceededError) as info:
+        find_isomorphisms(p, p, max_nodes=2, kind="subsets")
+    assert str(info.value) == "subsets isomorphism search on carriers of order 7 gave up after 3 nodes"
+    assert (info.value.nodes, info.value.order, info.value.kind) == (3, 7, "subsets")
+
+
+def test_find_isomorphisms_raises_on_unverified_result(monkeypatch):
+    monkeypatch.setattr(globaldet, "verify_morphism", lambda a, b, forward: False)
+    z3 = families.cyclic_group(3)
+    with pytest.raises(SearchResultError):
+        find_isomorphisms(z3, z3)
+
+
+def relabel(s, perm):
+    """The table with element i renamed perm[i]."""
+    n = s.order
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[perm[i]][perm[j]] = perm[s.table[i][j]]
+    return validate_table(rows)
+
+
+@pytest.fixture(scope="module")
+def rect_band_pair(named):
+    # both sides relabelled: this pair once ran past 2,000,000 search nodes
+    t = named["rect-band-2-3"]
+    return relabel(t, [1, 2, 3, 5, 4, 0]), relabel(t, [1, 2, 0, 3, 5, 4])
+
+
+def test_relabelled_rect_band_power_search_is_small(rect_band_pair):
+    a, b = rect_band_pair
+    maps = find_isomorphisms(power_table(a), power_table(b), max_nodes=1000, kind="subsets")
+    assert len(maps) == 8
+
+
+def test_globaliso_relabelled_rect_band(rect_band_pair, tmp_path, capsys):
+    paths = []
+    for name, t in zip("AB", rect_band_pair):
+        path = tmp_path / f"{name}.json"
+        path.write_text(table_to_json(name, t))
+        paths.append(str(path))
+    assert main(["globaliso", *paths, "--max-order", "6"]) == 0
+
+
+@pytest.mark.parametrize("name", ["lz3-monoid", "rz3-monoid"])
+def test_monoid_power_self_pair_is_small(named, name):
+    # the identity {1} and {1,a} differ only in which products equal a factor
+    p = power_table(named[name])
+    assert len(find_isomorphisms(p, p, max_nodes=1000, kind="subsets")) == 6
+
+
+def test_automorphism_counts_match_brute_force(cr5):
+    for name, s in cr5:
+        assert len(find_isomorphisms(s, s, limit=10**6)) == oracle_automorphism_count(s), name
+
+
+def test_power_search_finds_relabelled_copies(cr6):
+    for name, s in cr6:
+        rows = oracle_power_rows(s)
+        for seed in (1, 2, 3):
+            perm = list(range(s.order))
+            random.Random(seed).shuffle(perm)
+            t = relabel(s, perm)
+            maps = find_isomorphisms(power_table(s), power_table(t), kind="subsets")
+            assert maps, (name, perm)
+            rows_t = oracle_power_rows(t)
+            for m in maps:
+                assert oracle_is_isomorphism(rows, rows_t, m.forward), (name, perm)
 
 
 def test_find_isomorphisms_verifies():
