@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .core import CayleyTable, Subset, bits, is_left_zero, is_right_zero, is_subsemigroup_mask, mask_of, restrict
 from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
-from .power import Power
+from .power import Power, positions
 from .structure import decompose, id_set_mask
 
 TWO_GROUP_TOP = "two-group-top"
@@ -151,10 +151,8 @@ def a3_counterexample(p: Power, a: Subset) -> Subset | None:
         raise NotIdempotentError("the rigidity scan applies to idempotent subsets")
     if p.n > p.max_enum_order:
         raise OrderTooLargeError(f"order {p.n} exceeds the enumeration bound {p.max_enum_order}")
-    for bm in range(1, p.full_mask + 1):
-        if bm == am:
-            continue
-        if p.product_mask(bm, bm) == am and p.product_mask(bm, am) == am:
+    for bm in positions(p.squares(), am):
+        if bm != am and p.product_mask(bm, am) == am:
             return Subset(p.n, bm)
     return None
 
@@ -170,14 +168,10 @@ def a2_counterexample(p: Power, a: Subset) -> Subset | None:
         raise NotA3Error("the idempotency scan applies below the triple-product class")
     if p.n > p.max_enum_order:
         raise OrderTooLargeError(f"order {p.n} exceeds the enumeration bound {p.max_enum_order}")
-    a_ideal = p.product_mask(am, p.full_mask)
-    for bm in range(1, p.full_mask + 1):
-        if (
-            p.product_mask(bm, p.full_mask) == a_ideal
-            and p.product_mask(bm, am) == am
-            and p.product_mask(am, bm) == am
-            and p.product_mask(bm, bm) != bm
-        ):
+    ideals = p.right_ideals()
+    squares = p.squares()
+    for bm in positions(ideals, ideals[am]):
+        if squares[bm] != bm and p.product_mask(bm, am) == am and p.product_mask(am, bm) == am:
             return Subset(p.n, bm)
     return None
 

@@ -180,9 +180,19 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+def _env_max_order(default: int) -> int:
+    raw = os.environ.get(ENV_MAX_ORDER)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise SemigroupError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crglobal", description=__doc__)
-    default_max = int(os.environ.get(ENV_MAX_ORDER, "12"))
+    default_max = _env_max_order(12)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="validate a table and print its structure")
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--limit", type=int, default=8)
-    p.add_argument("--max-order", type=int, default=int(os.environ.get(ENV_MAX_ORDER, "5")))
+    p.add_argument("--max-order", type=int, default=_env_max_order(5))
     p.add_argument("--emit-eta", default=None)
     p.set_defaults(func=cmd_globaliso)
 
@@ -216,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)

@@ -1,13 +1,17 @@
-"""The power semigroup of a finite semigroup, computed lazily over bitmasks.
+"""The power semigroup of a finite semigroup, computed over bitmasks.
 
-The full multiplication table of the power semigroup is never materialized
-here; products are memoized per (mask, mask) pair, and the order/cover/Green
-structure is computed on demand.  CPython dict operations make the memo safe
-for concurrent readers.
+Subset products come from per-element translate rows: ``row_i[B]`` is the
+mask of {i}*B for every mask B, and A*B is the OR of ``row_i[B]`` over the
+elements i of A.  The rows, the vector of squares B*B and the vector of
+right ideals B*S are each built once per power semigroup, by doubling over
+the bits of B, and stored as compact arrays (order 12: 12 x 4096 entries).
+Bases above the enumeration bound are refused rather than tabulated.  The
+order/cover/Green structure is computed on demand.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .core import CayleyTable, Subset, bits
@@ -46,14 +50,17 @@ class EpOrderCover:
 
 
 class Power:
-    """Power semigroup of ``base`` with memoized subset products."""
+    """Power semigroup of ``base``; products read the per-element translate rows."""
 
     def __init__(self, base: CayleyTable, max_enum_order: int = 16):
         self.base = base
         self.n = base.order
         self.full_mask = (1 << self.n) - 1
         self.max_enum_order = max_enum_order
-        self._memo: dict[tuple[int, int], int] = {}
+        self._rows: list[array] | None = None
+        self._squares: array | None = None
+        self._right_ideals: array | None = None
+        self._table: CayleyTable | None = None
         self._ep: list[int] | None = None
         self._lideal: dict[int, frozenset[int]] = {}
         self._rideal: dict[int, frozenset[int]] = {}
@@ -61,19 +68,71 @@ class Power:
 
     # -- products ---------------------------------------------------------
 
-    def product_mask(self, am: int, bm: int) -> int:
-        key = (am, bm)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        t = self.base.table
-        out = 0
-        for i in bits(am):
-            row = t[i]
-            for j in bits(bm):
-                out |= 1 << row[j]
-        self._memo[key] = out
+    def _vector(self, values) -> array:
+        return array("H" if self.n <= 16 else "L", values)
+
+    def _doubled(self, images) -> array:
+        """out[B] = OR of images[j] over the bits j of B, one doubling per bit."""
+        out = self._vector([0])
+        for img in images:
+            out += self._vector([v | img for v in out])
         return out
+
+    def translate_rows(self) -> list[array]:
+        """``rows[i][B]`` is the mask of {i}*B, for every element i and mask B."""
+        if self._rows is None:
+            if self.n > self.max_enum_order:
+                raise OrderTooLargeError(f"order {self.n} exceeds the enumeration bound {self.max_enum_order}")
+            self._rows = [self._doubled([1 << x for x in row]) for row in self.base.table]
+        return self._rows
+
+    def product_mask(self, am: int, bm: int) -> int:
+        rows = self._rows or self.translate_rows()
+        out = 0
+        while am:
+            low = am & -am
+            out |= rows[low.bit_length() - 1][bm]
+            am ^= low
+        return out
+
+    def squares(self) -> array:
+        """``squares()[B]`` is B*B for every mask B (0 at the empty mask)."""
+        if self._squares is None:
+            # with A = a + {j}, a below j: A*A = a*a | a*{j} | {j}*A
+            t = self.base.table
+            sq = self._vector([0])
+            for j, row in enumerate(self.translate_rows()):
+                col = self._doubled([1 << t[x][j] for x in range(j)])
+                sq += self._vector([s | c | r for s, c, r in zip(sq, col, row[1 << j : 2 << j])])
+            self._squares = sq
+        return self._squares
+
+    def right_ideals(self) -> array:
+        """``right_ideals()[B]`` is B*S for every mask B (0 at the empty mask)."""
+        if self._right_ideals is None:
+            full = self.full_mask
+            self._right_ideals = self._doubled([row[full] for row in self.translate_rows()])
+        return self._right_ideals
+
+    def table(self) -> CayleyTable:
+        """The power semigroup materialized over mask-1 indices, built once.
+
+        The row of A is the row of A without its lowest element, ORed with
+        that element's translate row.
+        """
+        if self._table is None:
+            rows = self.translate_rows()
+            prods = [self._vector([0]) * (self.full_mask + 1)]
+            for am in range(1, self.full_mask + 1):
+                low = am & -am
+                prods.append(self._vector(map(int.__or__, prods[am ^ low], rows[low.bit_length() - 1])))
+            size = self.full_mask
+            self._table = CayleyTable(
+                size,
+                tuple(tuple(v - 1 for v in prods[am][1:]) for am in range(1, size + 1)),
+                tuple("{" + ",".join(self.base.label(e) for e in bits(m)) + "}" for m in range(1, size + 1)),
+            )
+        return self._table
 
     def _check(self, a: Subset) -> int:
         if a.n != self.n:
@@ -97,7 +156,8 @@ class Power:
         if self.n > self.max_enum_order:
             raise OrderTooLargeError(f"order {self.n} exceeds the enumeration bound {self.max_enum_order}")
         if self._ep is None:
-            self._ep = [m for m in range(1, self.full_mask + 1) if self.product_mask(m, m) == m]
+            sq = self.squares()
+            self._ep = [m for m in range(1, self.full_mask + 1) if sq[m] == m]
         return self._ep
 
     def enumerate_ep(self) -> list[Subset]:
@@ -221,6 +281,17 @@ class Power:
         dclass = _number([find(i) for i in range(self.full_mask)])
         self._green = PowerGreen(lclass, rclass, hclass, dclass)
         return self._green
+
+
+def positions(vector: array, value: int):
+    """Ascending indices i with ``vector[i] == value``; the scan runs in C."""
+    i = -1
+    while True:
+        try:
+            i = vector.index(value, i + 1)
+        except ValueError:
+            return
+        yield i
 
 
 def _number(keys: list) -> tuple[int, ...]:

@@ -108,3 +108,13 @@ def oracle_power_rows(s: CayleyTable) -> list[list[int]]:
     ]
     index = {frozenset(a): i for i, a in enumerate(subsets)}
     return [[index[frozenset(oracle_subset_product(s, a, b))] for b in subsets] for a in subsets]
+
+
+def oracle_dual(s: CayleyTable) -> CayleyTable:
+    """The opposite semigroup S^op, x *op y = y * x, by transposing the table."""
+    n = s.order
+    return CayleyTable(n, tuple(tuple(s.table[y][x] for y in range(n)) for x in range(n)), s.labels)
+
+
+def oracle_mask(elements) -> int:
+    return sum(1 << e for e in set(elements))

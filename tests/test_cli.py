@@ -152,3 +152,13 @@ def test_env_overrides_default_bound(monkeypatch, tmp_path, capsys):
     assert main(["breakable", path]) == 2
     monkeypatch.delenv("CRGLOBAL_MAX_ORDER")
     assert main(["breakable", path]) == 0
+
+
+def test_env_malformed_bound_is_operational_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "abc")
+    path = write(tmp_path, "l2.txt", table_text(families.left_zero(2)))
+    for argv in (["breakable", path], ["globaliso", path, path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: CRGLOBAL_MAX_ORDER must be an integer, got 'abc'\n"

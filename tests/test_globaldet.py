@@ -3,7 +3,7 @@ import random
 import pytest
 from oracles import oracle_automorphism_count, oracle_is_isomorphism, oracle_power_rows
 
-from crglobal import families, globaldet
+from crglobal import families, globaldet, verify
 from crglobal.cli import main, table_to_json
 from crglobal.core import bits, is_left_zero, validate_table
 from crglobal.errors import (
@@ -28,7 +28,7 @@ from crglobal.globaldet import (
     verify_statement_suite,
 )
 from crglobal.structure import decompose
-from crglobal.verify import collect_psis
+from crglobal.verify import collect_psis, global_sweep
 
 
 def test_find_isomorphisms_counts():
@@ -381,3 +381,31 @@ def test_no_power_iso_between_distinct_globals():
     l2 = families.left_zero(2)
     assert collect_psis(z2, l2) == []
     assert find_isomorphisms(power_table(z2), power_table(l2)) == []
+
+
+def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
+    globaldet.side_data.cache_clear()
+    shape_runs = []
+    shape_checks = globaldet._a3_shape_checks
+
+    def counting_shape_checks(checks, sd, prod):
+        shape_runs.append(sd.table)
+        return shape_checks(checks, sd, prod)
+
+    suites = []
+
+    def recording_suite(s, s2, psi):
+        records = verify_statement_suite(s, s2, psi)
+        suites.append((s, s2, psi, records))
+        return records
+
+    monkeypatch.setattr(globaldet, "_a3_shape_checks", counting_shape_checks)
+    monkeypatch.setattr(verify, "verify_statement_suite", recording_suite)
+    global_sweep(cr4)
+    sides = {s for _, s in cr4}
+    assert len(suites) > len(sides)
+    assert len(shape_runs) == len(set(shape_runs)) == len(sides)
+    for s, s2, psi, records in suites:
+        globaldet.side_data.cache_clear()
+        assert verify_statement_suite(s, s2, psi) == records
+    globaldet.side_data.cache_clear()

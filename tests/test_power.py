@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import oracle_subset_product
+from oracles import oracle_dual, oracle_mask, oracle_subset_product
 
 from crglobal import families
 from crglobal.core import Subset, bits, green_relations
@@ -15,6 +15,7 @@ from crglobal.errors import (
     ParentMismatchError,
 )
 from crglobal.globaldet import power_of
+from crglobal.verify import cr_members
 from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set
 from crglobal.structure import decompose
 
@@ -217,3 +218,51 @@ def test_h_class_prune_matches_unpruned(cr5):
             pruned = masks(h_class_of_idempotent_singleton(p, e, dec))
             free = masks(h_class_of_idempotent_singleton(p, e))
             assert pruned == free, name
+
+
+def _elements(mask):
+    return {e for e in range(mask.bit_length()) if mask >> e & 1}
+
+
+def _check_duality(s, pairs):
+    p, q = Power(s), Power(oracle_dual(s))
+    for am, bm in pairs:
+        assert q.product_mask(am, bm) == p.product_mask(bm, am), (am, bm)
+
+
+def test_product_duality_exhaustive_small(corpus_members):
+    checked = 0
+    for name, s in cr_members(corpus_members, 5):
+        full = (1 << s.order) - 1
+        _check_duality(s, ((am, bm) for am in range(1, full + 1) for bm in range(1, full + 1)))
+        checked += 1
+    assert checked >= 30
+
+
+def test_product_duality_sampled_order_8_and_12():
+    rng = random.Random(5)
+    for s in (families.tower_12(), families.rect_band(2, 4)):
+        full = (1 << s.order) - 1
+        _check_duality(s, [(rng.randrange(1, full + 1), rng.randrange(1, full + 1)) for _ in range(2000)])
+
+
+def test_squares_and_right_ideals_match_set_oracle(corpus_members):
+    for name, s in corpus_members:
+        if s.order > 6:
+            continue
+        p = Power(s)
+        squares, ideals = p.squares(), p.right_ideals()
+        assert len(squares) == len(ideals) == 1 << s.order, name
+        carrier = set(range(s.order))
+        for m in range(1, 1 << s.order):
+            a = _elements(m)
+            assert squares[m] == oracle_mask(oracle_subset_product(s, a, a)), (name, m)
+            assert ideals[m] == oracle_mask(oracle_subset_product(s, a, carrier)), (name, m)
+
+
+def test_product_refuses_order_above_enumeration_bound():
+    p = Power(families.left_zero(17))
+    with pytest.raises(OrderTooLargeError):
+        p.product_mask(1, 1)
+    with pytest.raises(OrderTooLargeError):
+        p.squares()
