@@ -33,9 +33,9 @@ from .breakable import (
 from .families import FamilySpec, build, canonical_form, corpus, enumerate_small
 from .globaldet import (
     IsoMap,
+    Record,
     RhoPartition,
     STATEMENT_IDS,
-    StatementRecord,
     construct_eta,
     extract_theta,
     find_isomorphisms,

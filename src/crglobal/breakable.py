@@ -79,13 +79,9 @@ def enumerate_a3_masks(s: CayleyTable, max_order: int = 12) -> list[int]:
 
 @lru_cache(maxsize=None)
 def enumerate_a2_masks(s: CayleyTable, max_order: int = 12) -> list[int]:
-    if s.order > max_order:
-        raise OrderTooLargeError(f"order {s.order} exceeds the subset-scan bound {max_order}")
-    out = []
-    for m in range(1, 1 << s.order):
-        if is_subsemigroup_mask(s, m) and satisfies_an_mask(s, m, 2):
-            out.append(m)
-    return out
+    """The pair-condition subsemigroups, filtered from the triple-condition
+    ones: ab in {a, b} gives abc in {ab, c}, inside {a, b, c}."""
+    return [m for m in enumerate_a3_masks(s, max_order) if satisfies_an_mask(s, m, 2)]
 
 
 @lru_cache(maxsize=None)

@@ -152,7 +152,7 @@ def cmd_globaliso(args) -> int:
             f"psi {k}: component map {list(theta.forward)}, eta {list(eta.forward)}, suite {status}"
         )
         for rec in bad:
-            print(f"  FAIL {rec.statement}: {rec.witness}")
+            print(f"  FAIL {rec.check}: {rec.witness}")
             failures += 1
         etas.append({"psi": k, "eta": list(eta.forward)})
     if args.emit_eta:

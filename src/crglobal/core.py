@@ -284,11 +284,11 @@ def is_right_zero(s: CayleyTable) -> bool:
 
 
 @lru_cache(maxsize=None)
-def natural_order(s: CayleyTable, idempotent_elements: tuple[int, ...] | None = None) -> NaturalOrder:
+def natural_order(s: CayleyTable) -> NaturalOrder:
     """a <= b iff a = e*b = b*f for some idempotents e, f."""
     n = s.order
     t = s.table
-    es = idempotents(s) if idempotent_elements is None else idempotent_elements
+    es = idempotents(s)
     leq = []
     for a in range(n):
         row = []

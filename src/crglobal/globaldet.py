@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .breakable import a3_counterexample, enumerate_a2_masks, enumerate_a2bar_masks, enumerate_a3_masks
-from .core import CayleyTable, Subset, bits, green_relations, natural_order
+from .core import CayleyTable, Subset, bits, green_relations, mask_of, natural_order
 from .errors import (
     BlockSizeMismatchError,
     EtaNotMorphismError,
@@ -339,13 +339,11 @@ def extract_theta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
         if amask.bit_count() != bmask.bit_count():
             raise ThetaNotSingletonError(f"components {alpha} and {forward[alpha]} have different sizes")
         images = set()
-        sub = amask
-        while sub:
+        for sub in _submasks(amask):
             img = psi_image_mask(psi, sub)
             if img & ~bmask:
                 raise ThetaNotSingletonError(f"a subset of component {alpha} maps outside its image component")
             images.add(img)
-            sub = (sub - 1) & amask
         if len(images) != (1 << bmask.bit_count()) - 1:
             raise ThetaNotSingletonError(f"subset map is not onto the subsets of component {forward[alpha]}")
     return IsoMap("components", tuple(forward), _invert(forward), verified=True)
@@ -480,7 +478,7 @@ class SideData:
         self.a2bar = set(enumerate_a2bar_masks(table))
         self._rho: dict[int, RhoPartition] = {}
         self._a3char: list[int] | None = None
-        self._map_free: dict[str, StatementRecord] | None = None
+        self._map_free: dict[str, Record] | None = None
 
     def idset(self, mask: int) -> frozenset[int]:
         return id_set_mask(mask, self.dec)
@@ -498,7 +496,7 @@ class SideData:
             ]
         return self._a3char
 
-    def map_free_records(self) -> dict[str, StatementRecord]:
+    def map_free_records(self) -> dict[str, Record]:
         """Records of the statements that never read the subset map, checked
         once per semigroup and shared by every suite run with it as source."""
         if self._map_free is None:
@@ -525,8 +523,12 @@ def side_data(table: CayleyTable) -> SideData:
 
 
 @dataclass(frozen=True)
-class StatementRecord:
-    statement: str
+class Record:
+    """One verified claim: ``instances`` checked in ``scope``, and the first
+    failing instance as ``witness``.  Suite records carry an empty scope."""
+
+    check: str
+    scope: str
     instances: int
     ok: bool
     witness: str | None = None
@@ -590,8 +592,11 @@ MAP_FREE_IDS = (
 
 
 class _Check:
-    def __init__(self, statement: str):
-        self.statement = statement
+    """Accumulates one suite statement: counts every instance and keeps the
+    first witness."""
+
+    def __init__(self, name: str):
+        self.name = name
         self.instances = 0
         self.ok = True
         self.witness: str | None = None
@@ -605,8 +610,8 @@ class _Check:
     def fail(self, witness: str) -> None:
         self.count(False, witness)
 
-    def record(self) -> StatementRecord:
-        return StatementRecord(self.statement, self.instances, self.ok, self.witness)
+    def record(self) -> Record:
+        return Record(self.name, "", self.instances, self.ok, self.witness)
 
 
 def _submasks(mask: int):
@@ -617,7 +622,7 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def verify_statement_suite(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> list[StatementRecord]:
+def verify_statement_suite(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> list[Record]:
     """Exhaustively instantiate every verified statement against one subset map.
 
     Returns one record per statement with the number of premise-satisfying
@@ -956,14 +961,9 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
         rho_b = se.rho(theta.forward[alpha])
         comp_mask = dec.components[alpha].mask
         for a in dec.component_elements(alpha):
-            block_mask = 0
-            for x in rho_a.block_containing(a):
-                block_mask |= 1 << x
+            block_mask = mask_of(rho_a.block_containing(a))
             for s_el in bits(m(1 << a)):
-                target = rho_b.block_containing(s_el)
-                target_mask = 0
-                for x in target:
-                    target_mask |= 1 << x
+                target_mask = mask_of(rho_b.block_containing(s_el))
                 for am in _submasks(comp_mask):
                     lhs = am | block_mask == block_mask
                     rhs = m(am) | target_mask == target_mask
@@ -982,9 +982,7 @@ def _rho_checks(checks, sd: SideData, prod, t) -> None:
         below = [b for b in range(dec.count) if dec.lt(b, alpha)]
         above = [g for g in range(dec.count) if dec.lt(alpha, g)]
         for block in rho.blocks:
-            block_mask = 0
-            for x in block:
-                block_mask |= 1 << x
+            block_mask = mask_of(block)
             for a in block:
                 for am in _submasks(block_mask):
                     for beta in below:

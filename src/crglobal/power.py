@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .core import CayleyTable, Subset, bits
+from .core import CayleyTable, GreenData, Subset, bits, green_relations
 from .errors import (
     EmptySubsetError,
     NotComparableError,
@@ -24,16 +24,6 @@ from .errors import (
     ParentMismatchError,
 )
 from .structure import Decomposition, id_set_mask
-
-
-@dataclass(frozen=True)
-class PowerGreen:
-    """Green classes of the power semigroup, indexed by mask - 1."""
-
-    lclass: tuple[int, ...]
-    rclass: tuple[int, ...]
-    hclass: tuple[int, ...]
-    dclass: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,6 @@ class Power:
         self._ep: list[int] | None = None
         self._lideal: dict[int, frozenset[int]] = {}
         self._rideal: dict[int, frozenset[int]] = {}
-        self._green: PowerGreen | None = None
 
     # -- products ---------------------------------------------------------
 
@@ -217,14 +206,16 @@ class Power:
         """All subsets of the form X*A together with A itself."""
         hit = self._lideal.get(m)
         if hit is None:
-            hit = frozenset({m} | {self.product_mask(x, m) for x in range(1, self.full_mask + 1)})
+            # X*A is the OR of row_i[A] over the elements i of X
+            hit = frozenset(self._doubled([row[m] for row in self.translate_rows()])[1:]) | {m}
             self._lideal[m] = hit
         return hit
 
     def r_ideal_set(self, m: int) -> frozenset[int]:
         hit = self._rideal.get(m)
         if hit is None:
-            hit = frozenset({m} | {self.product_mask(m, x) for x in range(1, self.full_mask + 1)})
+            # A*X is the OR of A*{j} over the elements j of X
+            hit = frozenset(self._doubled([self.product_mask(m, 1 << j) for j in range(self.n)])[1:]) | {m}
             self._rideal[m] = hit
         return hit
 
@@ -249,38 +240,12 @@ class Power:
             if self.l_ideal_set(m) == my_l and self.r_ideal_set(m) == my_r
         ]
 
-    def power_green(self, max_order: int = 8) -> PowerGreen:
-        """Green classes over every nonempty subset; exponential, small orders only."""
+    def power_green(self, max_order: int = 8) -> GreenData:
+        """Green classes over every nonempty subset, indexed by mask - 1:
+        :func:`green_relations` of the materialized power table."""
         if self.n > max_order:
             raise OrderTooLargeError(f"order {self.n} exceeds the power-Green bound {max_order}")
-        if self._green is not None:
-            return self._green
-        masks = range(1, self.full_mask + 1)
-        lkeys = [self.l_ideal_set(m) for m in masks]
-        rkeys = [self.r_ideal_set(m) for m in masks]
-        lclass = _number(lkeys)
-        rclass = _number(rkeys)
-        hclass = _number(list(zip(lclass, rclass)))
-        parent = list(range(self.full_mask))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        first: dict[tuple[str, int], int] = {}
-        for i in range(self.full_mask):
-            for tag, cls in (("L", lclass[i]), ("R", rclass[i])):
-                if (tag, cls) in first:
-                    a, b = find(first[(tag, cls)]), find(i)
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-                else:
-                    first[(tag, cls)] = i
-        dclass = _number([find(i) for i in range(self.full_mask)])
-        self._green = PowerGreen(lclass, rclass, hclass, dclass)
-        return self._green
+        return green_relations(self.table())
 
 
 def positions(vector: array, value: int):
@@ -292,16 +257,6 @@ def positions(vector: array, value: int):
         except ValueError:
             return
         yield i
-
-
-def _number(keys: list) -> tuple[int, ...]:
-    seen: dict = {}
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen[k] = len(seen)
-        out.append(seen[k])
-    return tuple(out)
 
 
 def cover_of(p: Power, lower: Subset, upper: Subset, kind: str = "ep") -> EpOrderCover:

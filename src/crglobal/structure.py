@@ -98,9 +98,7 @@ def id_set(a: Subset, dec: Decomposition) -> frozenset[int]:
     """Components meeting ``a``: the support of the subset in the semilattice."""
     if a.n != dec.base.order:
         raise ParentMismatchError(f"subset of size-{a.n} carrier against order-{dec.base.order} semigroup")
-    if a.is_empty:
-        raise EmptySubsetError("support of the empty subset is undefined")
-    return frozenset({dec.component_of[e] for e in bits(a.mask)})
+    return id_set_mask(a.mask, dec)
 
 
 def id_set_mask(mask: int, dec: Decomposition) -> frozenset[int]:

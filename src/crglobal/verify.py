@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .breakable import (
     a2_characterization,
@@ -34,6 +34,7 @@ from .errors import FalsificationError
 from .families import corpus
 from .globaldet import (
     IsoMap,
+    Record,
     STATEMENT_IDS,
     construct_eta,
     extract_theta,
@@ -48,15 +49,6 @@ from .power import h_class_of_idempotent_singleton, h_class_of_left_zero_set
 from .structure import decompose
 
 NON_CR_INJECTION = validate_table([[0, 0], [0, 0]])
-
-
-@dataclass(frozen=True)
-class Record:
-    check: str
-    scope: str
-    instances: int
-    ok: bool
-    witness: str | None = None
 
 
 def records_to_json_lines(records: list[Record]) -> str:
@@ -75,70 +67,66 @@ def cr_members(members, max_order: int) -> list[tuple[str, CayleyTable]]:
     return [(name, s) for name, s in members if s.order <= max_order and is_completely_regular(s)]
 
 
+def _record(check: str, scope: str, problems) -> Record:
+    """Count the items of a lazy scan up to its first failure and stop there.
+
+    ``problems`` yields, per item, None when the item passes or the witness
+    that it fails.
+    """
+    count = 0
+    for witness in problems:
+        count += 1
+        if witness:
+            return Record(check, scope, count, False, witness)
+    return Record(check, scope, count, True)
+
+
 def check_a3_equivalence(members) -> list[Record]:
     """Rigidity scan agrees with the triple-product condition on every
     idempotent subset of every member."""
-    out = []
-    for name, s in members:
-        p = power_of(s)
-        a3 = set(enumerate_a3_masks(s))
-        count = 0
-        ok = True
-        witness = None
-        for am in p.idempotent_masks():
-            count += 1
-            direct = is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)
-            if direct != a3_characterization(p, Subset(s.order, am)):
-                ok = False
-                witness = f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
-                break
-            if direct != (am in a3):
-                ok = False
-                witness = f"subset {am:#x}: enumeration disagrees with the direct check"
-                break
-        out.append(Record("a3-characterization-equivalence", name, count, ok, witness))
-    return out
+    return [_record("a3-characterization-equivalence", name, _a3_problems(s)) for name, s in members]
+
+
+def _a3_problems(s: CayleyTable):
+    p = power_of(s)
+    a3 = set(enumerate_a3_masks(s))
+    for am in p.idempotent_masks():
+        direct = is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)
+        if direct != a3_characterization(p, Subset(s.order, am)):
+            yield f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
+        elif direct != (am in a3):
+            yield f"subset {am:#x}: enumeration disagrees with the direct check"
+        else:
+            yield None
 
 
 def check_a2_equivalence(members) -> list[Record]:
     """Idempotency scan agrees with the pair-product condition below the
     triple-product class."""
-    out = []
-    for name, s in members:
-        p = power_of(s)
-        count = 0
-        ok = True
-        witness = None
-        for am in enumerate_a3_masks(s):
-            count += 1
-            direct = satisfies_an_mask(s, am, 2)
-            if direct != a2_characterization(p, Subset(s.order, am)):
-                ok = False
-                witness = f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
-                break
-        out.append(Record("a2-characterization-equivalence", name, count, ok, witness))
-    return out
+    return [_record("a2-characterization-equivalence", name, _a2_problems(s)) for name, s in members]
+
+
+def _a2_problems(s: CayleyTable):
+    p = power_of(s)
+    for am in enumerate_a3_masks(s):
+        direct = satisfies_an_mask(s, am, 2)
+        if direct != a2_characterization(p, Subset(s.order, am)):
+            yield f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
+        else:
+            yield None
 
 
 def check_structural_forms(members) -> list[Record]:
     """Every qualifying subsemigroup decomposes into an absorbing chain of
     zero chunks, with a group top exactly when pair products escape."""
-    out = []
-    for name, s in members:
-        t = s.table
-        count = 0
-        ok = True
-        witness = None
-        for am in enumerate_a3_masks(s):
-            count += 1
-            form = structural_form(s, Subset(s.order, am))
-            problem = _form_problem(t, am, form, satisfies_an_mask(s, am, 2))
-            if problem:
-                ok = False
-                witness = f"subset {am:#x}: {problem}"
-                break
-        out.append(Record("structural-form", name, count, ok, witness))
-    return out
+    return [_record("structural-form", name, _form_problems(s)) for name, s in members]
+
+
+def _form_problems(s: CayleyTable):
+    for am in enumerate_a3_masks(s):
+        form = structural_form(s, Subset(s.order, am))
+        problem = _form_problem(s.table, am, form, satisfies_an_mask(s, am, 2))
+        yield f"subset {am:#x}: {problem}" if problem else None
 
 
 def _form_problem(t, am: int, form, breakable: bool) -> str | None:
@@ -184,49 +172,31 @@ def _form_problem(t, am: int, form, breakable: bool) -> str | None:
 def check_power_h_classes(members) -> list[Record]:
     """H-classes in the power semigroup match their element-level values for
     idempotent singletons and for left zero subsemigroups."""
-    out = []
-    for name, s in members:
-        p = power_of(s)
-        g = green_relations(s)
-        dec = decompose(s)
-        count = 0
-        ok = True
-        witness = None
-        for e in range(s.order):
-            if s.table[e][e] != e:
-                continue
-            count += 1
-            got = {sub.mask for sub in h_class_of_idempotent_singleton(p, e, dec)}
-            want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
-            if got != want:
-                ok = False
-                witness = f"singleton {{{e}}}: got {sorted(got)}, expected {sorted(want)}"
-                break
-        if ok:
-            for em in left_zero_subset_masks(s):
-                count += 1
-                got = {sub.mask for sub in h_class_of_left_zero_set(p, Subset(s.order, em), dec)}
-                expected = None
-                for e in bits(em):
-                    translates = {
-                        p.product_mask(em, 1 << a)
-                        for a in range(s.order)
-                        if g.hclass[a] == g.hclass[e]
-                    }
-                    if expected is None:
-                        expected = translates
-                    elif expected != translates:
-                        ok = False
-                        witness = f"left zero {em:#x}: translate sets differ between members"
-                        break
-                if not ok:
-                    break
-                if got != expected:
-                    ok = False
-                    witness = f"left zero {em:#x}: got {sorted(got)}, expected {sorted(expected)}"
-                    break
-        out.append(Record("power-h-classes", name, count, ok, witness))
-    return out
+    return [_record("power-h-classes", name, _h_class_problems(s)) for name, s in members]
+
+
+def _h_class_problems(s: CayleyTable):
+    p = power_of(s)
+    g = green_relations(s)
+    dec = decompose(s)
+    for e in range(s.order):
+        if s.table[e][e] != e:
+            continue
+        got = {sub.mask for sub in h_class_of_idempotent_singleton(p, e, dec)}
+        want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
+        yield None if got == want else f"singleton {{{e}}}: got {sorted(got)}, expected {sorted(want)}"
+    for em in left_zero_subset_masks(s):
+        got = {sub.mask for sub in h_class_of_left_zero_set(p, Subset(s.order, em), dec)}
+        translates = [
+            {p.product_mask(em, 1 << a) for a in range(s.order) if g.hclass[a] == g.hclass[e]} for e in bits(em)
+        ]
+        expected = translates[0]
+        if any(t != expected for t in translates):
+            yield f"left zero {em:#x}: translate sets differ between members"
+        elif got != expected:
+            yield f"left zero {em:#x}: got {sorted(got)}, expected {sorted(expected)}"
+        else:
+            yield None
 
 
 @dataclass
@@ -302,8 +272,8 @@ def global_sweep(members, limit: int = 8) -> SweepResult:
                 except FalsificationError as exc:
                     records.append(Record("eta-construction", pscope, 1, False, str(exc)))
                 for rec in verify_statement_suite(s, s2, psi):
-                    coverage[rec.statement] += rec.instances
-                    records.append(Record(rec.statement, pscope, rec.instances, rec.ok, rec.witness))
+                    coverage[rec.check] += rec.instances
+                    records.append(replace(rec, scope=pscope))
     return SweepResult(records, psi_total, nonsingleton, coverage, etas)
 
 

@@ -118,3 +118,32 @@ def oracle_dual(s: CayleyTable) -> CayleyTable:
 
 def oracle_mask(elements) -> int:
     return sum(1 << e for e in set(elements))
+
+
+def _first_occurrence(keys) -> tuple[int, ...]:
+    seen: dict = {}
+    return tuple(seen.setdefault(k, len(seen)) for k in keys)
+
+
+def oracle_power_green(s: CayleyTable) -> tuple[tuple[int, ...], ...]:
+    """L, R, H and D class vectors of the power semigroup over mask-1
+    indices, classes numbered in order of first occurrence.
+
+    A is L-related to B when {A} with every X*A equals {B} with every X*B,
+    all from literal set products; D is L followed by R.
+    """
+    subsets = [
+        frozenset(e for e in range(s.order) if mask >> e & 1) for mask in range(1, 1 << s.order)
+    ]
+    prod = {(a, b): frozenset(oracle_subset_product(s, a, b)) for a in subsets for b in subsets}
+    lclass = _first_occurrence(frozenset({a} | {prod[x, a] for x in subsets}) for a in subsets)
+    rclass = _first_occurrence(frozenset({a} | {prod[a, x] for x in subsets}) for a in subsets)
+    hclass = _first_occurrence(zip(lclass, rclass))
+    size = len(subsets)
+    dclass = _first_occurrence(
+        frozenset(
+            b for b in range(size) if any(lclass[a] == lclass[c] and rclass[c] == rclass[b] for c in range(size))
+        )
+        for a in range(size)
+    )
+    return lclass, rclass, hclass, dclass

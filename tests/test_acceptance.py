@@ -4,6 +4,7 @@ Criteria 5-7 share one session-scoped sweep over every same-order pair of
 completely regular corpus members of order at most 5.
 """
 
+import hashlib
 import json
 import time
 
@@ -116,14 +117,26 @@ def test_criterion_8_order_12_enumeration():
     assert ep and a3
 
 
+# sha256 of `verify` stdout per profile; a change that alters the output on
+# purpose updates these digests and says so in CHANGES.md
+VERIFY_DIGESTS = {
+    "full": "70bf226c9f0dbfd14e5893117183e33a2b78188091da1aacdf37bc749ff1187d",
+    "quick": "7ac2b0155dc1e5ca07a1f905e92d5943427e170c63068a310a82ad91497e055c",
+}
+
+
 def test_criterion_9_determinism(capsys, monkeypatch):
     monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
     assert main(["verify", "--profile", "full"]) == 0
     first = capsys.readouterr().out
     assert main(["verify", "--profile", "full"]) == 0
     second = capsys.readouterr().out
+    assert main(["verify", "--profile", "quick"]) == 0
+    quick = capsys.readouterr().out
     ok = first == second and first
     print(f"ACCEPT criterion-9 determinism: {'PASS' if ok else 'FAIL'} ({len(first)} bytes)")
     assert first == second
     for line in first.strip().splitlines():
         assert json.loads(line)["ok"] is True
+    assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_DIGESTS["full"]
+    assert hashlib.sha256(quick.encode()).hexdigest() == VERIFY_DIGESTS["quick"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from crglobal import families
@@ -127,12 +128,18 @@ def test_verify_quick_passes_and_is_deterministic(capsys, monkeypatch):
         assert rec["ok"] is True
 
 
+# sha256 of `verify --profile quick` stdout with CRGLOBAL_INJECT set; a change
+# that alters the output on purpose updates it and says so in CHANGES.md
+INJECTED_QUICK_DIGEST = "601568f7a20adeb566204ad9c0c65bbf4b0fa2e58e22691741faee882de7a5e0"
+
+
 def test_verify_injection_fails(capsys, monkeypatch):
     monkeypatch.setenv("CRGLOBAL_INJECT", "1")
     assert main(["verify", "--profile", "quick"]) == 3
     out = capsys.readouterr().out
     bad = [json.loads(line) for line in out.strip().splitlines() if not json.loads(line)["ok"]]
     assert bad and all(rec["witness"] for rec in bad)
+    assert hashlib.sha256(out.encode()).hexdigest() == INJECTED_QUICK_DIGEST
 
 
 def test_corpus_export_round_trip(tmp_path, capsys):

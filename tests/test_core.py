@@ -16,7 +16,6 @@ from crglobal import families
 from crglobal.core import (
     Subset,
     green_relations,
-    idempotents,
     is_completely_regular,
     is_completely_simple,
     is_left_zero,
@@ -182,12 +181,6 @@ def test_natural_order_is_partial_order_and_matches_oracle(cr6):
                 for c in range(n):
                     if order.leq[a][b] and order.leq[b][c]:
                         assert order.leq[a][c], name
-
-
-def test_natural_order_explicit_idempotent_set(named):
-    c3 = named["clifford-3"]
-    full = natural_order(c3, tuple(idempotents(c3)))
-    assert full == natural_order(c3)
 
 
 def test_restrict_rejects_open_subset():

@@ -363,14 +363,14 @@ def test_statement_suite_all_pass_and_counts(named):
         s, s2 = named[na], named[nb]
         for psi in collect_psis(s, s2, limit=4):
             records = verify_statement_suite(s, s2, psi)
-            assert [r.statement for r in records] == list(STATEMENT_IDS)
+            assert [r.check for r in records] == list(STATEMENT_IDS)
             assert all(r.ok for r in records), [r for r in records if not r.ok]
 
 
 def test_statement_suite_vacuous_statements_have_zero_instances(named):
     s = named["cyclic-2"]  # one component, nothing comparable
     psi = collect_psis(s, s)[0]
-    by_name = {r.statement: r for r in verify_statement_suite(s, s, psi)}
+    by_name = {r.check: r for r in verify_statement_suite(s, s, psi)}
     assert by_name["preimage-sandwich-transfer"].instances == 0
     assert by_name["pair-chain-image-union"].instances == 0
     assert by_name["rigid-top-two-group"].instances > 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import oracle_dual, oracle_mask, oracle_subset_product
+from oracles import oracle_dual, oracle_mask, oracle_power_green, oracle_subset_product
 
 from crglobal import families
 from crglobal.core import Subset, bits, green_relations
@@ -207,17 +207,38 @@ def test_power_green_bound():
         power_of(families.tower_12()).power_green()
 
 
+def test_power_green_matches_set_product_oracle(cr5):
+    for name, s in cr5:
+        pg = power_of(s).power_green()
+        assert (pg.lclass, pg.rclass, pg.hclass, pg.dclass) == oracle_power_green(s), name
+
+
+def test_h_class_answers_where_power_green_refuses():
+    s = families.tower_12()
+    p = power_of(s)
+    dec = decompose(s)
+    g = green_relations(s)
+    for e in range(s.order):
+        if s.table[e][e] == e:
+            want = [1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]]
+            assert masks(h_class_of_idempotent_singleton(p, e, dec)) == want, e
+    with pytest.raises(OrderTooLargeError):
+        p.power_green()
+
+
 def test_h_class_prune_matches_unpruned(cr5):
     for name, s in cr5:
         p = power_of(s)
         dec = decompose(s)
-        g = green_relations(s)
+        hclass = p.power_green().hclass
         for e in range(s.order):
             if s.table[e][e] != e:
                 continue
             pruned = masks(h_class_of_idempotent_singleton(p, e, dec))
             free = masks(h_class_of_idempotent_singleton(p, e))
             assert pruned == free, name
+            whole = [m for m in range(1, p.full_mask + 1) if hclass[m - 1] == hclass[(1 << e) - 1]]
+            assert free == whole, name
 
 
 def _elements(mask):
