@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .core import CayleyTable, Subset, bits, is_left_zero, is_right_zero, is_subsemigroup_mask, mask_of, restrict
 from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
-from .power import Power, positions
+from .power import MAX_ORDER, Power, positions
 from .structure import decompose, id_set_mask
 
 TWO_GROUP_TOP = "two-group-top"
@@ -67,9 +67,9 @@ def satisfies_an(s: CayleyTable, a: Subset, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def enumerate_a3_masks(s: CayleyTable, max_order: int = 12) -> list[int]:
-    if s.order > max_order:
-        raise OrderTooLargeError(f"order {s.order} exceeds the subset-scan bound {max_order}")
+def enumerate_a3_masks(s: CayleyTable) -> list[int]:
+    if s.order > MAX_ORDER:
+        raise OrderTooLargeError(f"order {s.order} exceeds the subset-scan bound {MAX_ORDER}")
     out = []
     for m in range(1, 1 << s.order):
         if is_subsemigroup_mask(s, m) and satisfies_an_mask(s, m, 3):
@@ -78,29 +78,29 @@ def enumerate_a3_masks(s: CayleyTable, max_order: int = 12) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_a2_masks(s: CayleyTable, max_order: int = 12) -> list[int]:
+def enumerate_a2_masks(s: CayleyTable) -> list[int]:
     """The pair-condition subsemigroups, filtered from the triple-condition
     ones: ab in {a, b} gives abc in {ab, c}, inside {a, b, c}."""
-    return [m for m in enumerate_a3_masks(s, max_order) if satisfies_an_mask(s, m, 2)]
+    return [m for m in enumerate_a3_masks(s) if satisfies_an_mask(s, m, 2)]
 
 
 @lru_cache(maxsize=None)
-def enumerate_a2bar_masks(s: CayleyTable, max_order: int = 12) -> list[int]:
+def enumerate_a2bar_masks(s: CayleyTable) -> list[int]:
     """Breakable subsemigroups supported on a single component."""
     dec = decompose(s)
-    return [m for m in enumerate_a2_masks(s, max_order) if len(id_set_mask(m, dec)) == 1]
+    return [m for m in enumerate_a2_masks(s) if len(id_set_mask(m, dec)) == 1]
 
 
-def enumerate_a2(s: CayleyTable, max_order: int = 12) -> list[Subset]:
-    return [Subset(s.order, m) for m in enumerate_a2_masks(s, max_order)]
+def enumerate_a2(s: CayleyTable) -> list[Subset]:
+    return [Subset(s.order, m) for m in enumerate_a2_masks(s)]
 
 
-def enumerate_a3(s: CayleyTable, max_order: int = 12) -> list[Subset]:
-    return [Subset(s.order, m) for m in enumerate_a3_masks(s, max_order)]
+def enumerate_a3(s: CayleyTable) -> list[Subset]:
+    return [Subset(s.order, m) for m in enumerate_a3_masks(s)]
 
 
-def enumerate_a2bar(s: CayleyTable, max_order: int = 12) -> list[Subset]:
-    return [Subset(s.order, m) for m in enumerate_a2bar_masks(s, max_order)]
+def enumerate_a2bar(s: CayleyTable) -> list[Subset]:
+    return [Subset(s.order, m) for m in enumerate_a2bar_masks(s)]
 
 
 def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
@@ -145,8 +145,6 @@ def a3_counterexample(p: Power, a: Subset) -> Subset | None:
     am = a.mask
     if not p.is_idempotent_mask(am):
         raise NotIdempotentError("the rigidity scan applies to idempotent subsets")
-    if p.n > p.max_enum_order:
-        raise OrderTooLargeError(f"order {p.n} exceeds the enumeration bound {p.max_enum_order}")
     for bm in positions(p.squares(), am):
         if bm != am and p.product_mask(bm, am) == am:
             return Subset(p.n, bm)
@@ -162,8 +160,6 @@ def a2_counterexample(p: Power, a: Subset) -> Subset | None:
     am = a.mask
     if not (is_subsemigroup_mask(p.base, am) and satisfies_an_mask(p.base, am, 3)):
         raise NotA3Error("the idempotency scan applies below the triple-product class")
-    if p.n > p.max_enum_order:
-        raise OrderTooLargeError(f"order {p.n} exceeds the enumeration bound {p.max_enum_order}")
     ideals = p.right_ideals()
     squares = p.squares()
     for bm in positions(ideals, ideals[am]):

@@ -37,11 +37,17 @@ def parse_table_text(text: str) -> CayleyTable:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
-        return validate_table(doc["table"], doc.get("labels"))
+        s = validate_table(doc["table"], doc.get("labels"))
+        if doc.get("order", s.order) != s.order:
+            raise SemigroupError(f"header order {doc['order']!r} does not match a table of {s.order} rows")
+        return s
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SemigroupError("empty table")
-    n = int(lines[0].split()[0])
+    header = lines[0].split()
+    if len(header) != 1:
+        raise SemigroupError(f"the first line must be the order alone, got {lines[0].strip()!r}")
+    n = int(header[0])
     rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
     if len(rows) != n:
         raise SemigroupError(f"expected {n} rows, found {len(rows)}")
@@ -99,9 +105,9 @@ def cmd_breakable(args) -> int:
     if not is_completely_regular(s):
         raise SemigroupError("input is not completely regular")
     p = power_of(s)
-    a2 = enumerate_a2_masks(s, args.max_order)
-    a3 = enumerate_a3_masks(s, args.max_order)
-    a2bar = enumerate_a2bar_masks(s, args.max_order)
+    a2 = enumerate_a2_masks(s)
+    a3 = enumerate_a3_masks(s)
+    a2bar = enumerate_a2bar_masks(s)
     print(f"pair-condition subsemigroups: {len(a2)}")
     print(f"triple-condition subsemigroups: {len(a3)}")
     print(f"single-component pair-condition subsemigroups: {len(a2bar)}")

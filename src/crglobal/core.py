@@ -136,6 +136,8 @@ class NaturalOrder:
 
 def validate_table(raw: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> CayleyTable:
     """Check shape, entry range and associativity; return the frozen table."""
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in raw):
+        raise TableShapeError("table must be a list of rows, each a list of entries")
     rows = [tuple(row) for row in raw]
     n = len(rows)
     if n == 0:
@@ -157,6 +159,8 @@ def validate_table(raw: Sequence[Sequence[int]], labels: Sequence[str] | None = 
                     raise NotAssociativeError(i, j, k)
     lab = None
     if labels is not None:
+        if not isinstance(labels, (list, tuple)):
+            raise TableShapeError("labels must be a list")
         lab = tuple(str(x) for x in labels)
         if len(lab) != n:
             raise TableShapeError(f"{len(lab)} labels for {n} elements")

@@ -56,7 +56,7 @@ class NotA3Error(SemigroupError):
 
 
 class OrderTooLargeError(SemigroupError):
-    """Requested enumeration exceeds the configured size bound."""
+    """Requested enumeration exceeds one of the fixed size bounds."""
 
 
 class BadSpecError(SemigroupError):

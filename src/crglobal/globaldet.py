@@ -19,7 +19,6 @@ from .errors import (
     BlockSizeMismatchError,
     EtaNotMorphismError,
     FalsificationError,
-    OrderTooLargeError,
     PsiImageNotSingletonError,
     SearchBudgetExceededError,
     SearchResultError,
@@ -194,6 +193,8 @@ def find_isomorphisms(
     ``max_nodes`` raises instead, and so does a result that fails
     verification.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     if a.order != b.order:
         return []
     n = a.order
@@ -272,11 +273,8 @@ def find_isomorphisms(
 # -- power tables and lifting ------------------------------------------------
 
 
-def power_table(s: CayleyTable, bound: int = 1 << 15) -> CayleyTable:
+def power_table(s: CayleyTable) -> CayleyTable:
     """The power semigroup materialized as a table over mask-1 indices."""
-    size = (1 << s.order) - 1
-    if size > bound:
-        raise OrderTooLargeError(f"power semigroup has {size} elements, bound is {bound}")
     return power_of(s).table()
 
 
@@ -372,12 +370,11 @@ class RhoPartition:
         return None
 
 
-def rho_partition(dec: Decomposition, alpha: int, order=None) -> RhoPartition:
+def rho_partition(dec: Decomposition, alpha: int) -> RhoPartition:
     tag = dec.classification[alpha]
     if tag not in (LEFT_ZERO, RIGHT_ZERO):
         raise WrongComponentKindError(f"component {alpha} is {tag}, need a left or right zero component")
-    if order is None:
-        order = natural_order(dec.base)
+    order = natural_order(dec.base)
     t = dec.base.table
     k = dec.count
     below = [b for b in range(k) if dec.lt(b, alpha)]
@@ -416,7 +413,6 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
     theta = extract_theta(psi, dec_a, dec_b)
     na, nb = dec_a.base.order, dec_b.base.order
     order_a = natural_order(dec_a.base)
-    order_b = natural_order(dec_b.base)
     eta = [-1] * na
     for alpha in range(dec_a.count):
         beta = theta.forward[alpha]
@@ -429,8 +425,8 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
                     )
                 eta[a] = img.bit_length() - 1
         else:
-            rho_a = rho_partition(dec_a, alpha, order_a)
-            rho_b = rho_partition(dec_b, beta, order_b)
+            rho_a = rho_partition(dec_a, alpha)
+            rho_b = rho_partition(dec_b, beta)
             for block in rho_a.blocks:
                 rep = block[0]
                 img = psi_image_mask(psi, 1 << rep)
@@ -485,7 +481,7 @@ class SideData:
 
     def rho(self, alpha: int) -> RhoPartition:
         if alpha not in self._rho:
-            self._rho[alpha] = rho_partition(self.dec, alpha, self.order)
+            self._rho[alpha] = rho_partition(self.dec, alpha)
         return self._rho[alpha]
 
     def a3char_masks(self) -> list[int]:

@@ -2,11 +2,11 @@
 
 Subset products come from per-element translate rows: ``row_i[B]`` is the
 mask of {i}*B for every mask B, and A*B is the OR of ``row_i[B]`` over the
-elements i of A.  The rows, the vector of squares B*B and the vector of
-right ideals B*S are each built once per power semigroup, by doubling over
+elements i of A.  The rows and the vectors of squares B*B, right ideals B*S
+and left ideals S*B are each built once per power semigroup, by doubling over
 the bits of B, and stored as compact arrays (order 12: 12 x 4096 entries).
-Bases above the enumeration bound are refused rather than tabulated.  The
-order/cover/Green structure is computed on demand.
+Each size bound is a module constant, checked where the structure it protects
+is built.  The order/cover/Green structure is computed on demand.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from .errors import (
     OrderTooLargeError,
     ParentMismatchError,
 )
-from .structure import Decomposition, id_set_mask
+
+# masks are stored as 16-bit array entries
+MAX_ORDER = 16
+# elements of the materialized power table
+MAX_TABLE_SIZE = 1 << 15
+# base order up to which power_green runs green_relations on the power table
+MAX_GREEN_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -42,14 +48,14 @@ class EpOrderCover:
 class Power:
     """Power semigroup of ``base``; products read the per-element translate rows."""
 
-    def __init__(self, base: CayleyTable, max_enum_order: int = 16):
+    def __init__(self, base: CayleyTable):
         self.base = base
         self.n = base.order
         self.full_mask = (1 << self.n) - 1
-        self.max_enum_order = max_enum_order
         self._rows: list[array] | None = None
         self._squares: array | None = None
         self._right_ideals: array | None = None
+        self._left_ideals: array | None = None
         self._table: CayleyTable | None = None
         self._ep: list[int] | None = None
         self._lideal: dict[int, frozenset[int]] = {}
@@ -57,21 +63,18 @@ class Power:
 
     # -- products ---------------------------------------------------------
 
-    def _vector(self, values) -> array:
-        return array("H" if self.n <= 16 else "L", values)
-
     def _doubled(self, images) -> array:
         """out[B] = OR of images[j] over the bits j of B, one doubling per bit."""
-        out = self._vector([0])
+        out = array("H", [0])
         for img in images:
-            out += self._vector([v | img for v in out])
+            out += array("H", [v | img for v in out])
         return out
 
     def translate_rows(self) -> list[array]:
         """``rows[i][B]`` is the mask of {i}*B, for every element i and mask B."""
         if self._rows is None:
-            if self.n > self.max_enum_order:
-                raise OrderTooLargeError(f"order {self.n} exceeds the enumeration bound {self.max_enum_order}")
+            if self.n > MAX_ORDER:
+                raise OrderTooLargeError(f"order {self.n} exceeds the enumeration bound {MAX_ORDER}")
             self._rows = [self._doubled([1 << x for x in row]) for row in self.base.table]
         return self._rows
 
@@ -89,10 +92,10 @@ class Power:
         if self._squares is None:
             # with A = a + {j}, a below j: A*A = a*a | a*{j} | {j}*A
             t = self.base.table
-            sq = self._vector([0])
+            sq = array("H", [0])
             for j, row in enumerate(self.translate_rows()):
                 col = self._doubled([1 << t[x][j] for x in range(j)])
-                sq += self._vector([s | c | r for s, c, r in zip(sq, col, row[1 << j : 2 << j])])
+                sq += array("H", [s | c | r for s, c, r in zip(sq, col, row[1 << j : 2 << j])])
             self._squares = sq
         return self._squares
 
@@ -103,6 +106,12 @@ class Power:
             self._right_ideals = self._doubled([row[full] for row in self.translate_rows()])
         return self._right_ideals
 
+    def left_ideals(self) -> array:
+        """``left_ideals()[B]`` is S*B for every mask B (0 at the empty mask)."""
+        if self._left_ideals is None:
+            self._left_ideals = self._doubled([self.product_mask(self.full_mask, 1 << j) for j in range(self.n)])
+        return self._left_ideals
+
     def table(self) -> CayleyTable:
         """The power semigroup materialized over mask-1 indices, built once.
 
@@ -110,11 +119,13 @@ class Power:
         that element's translate row.
         """
         if self._table is None:
+            if self.full_mask > MAX_TABLE_SIZE:
+                raise OrderTooLargeError(f"power semigroup has {self.full_mask} elements, bound is {MAX_TABLE_SIZE}")
             rows = self.translate_rows()
-            prods = [self._vector([0]) * (self.full_mask + 1)]
+            prods = [array("H", [0]) * (self.full_mask + 1)]
             for am in range(1, self.full_mask + 1):
                 low = am & -am
-                prods.append(self._vector(map(int.__or__, prods[am ^ low], rows[low.bit_length() - 1])))
+                prods.append(array("H", map(int.__or__, prods[am ^ low], rows[low.bit_length() - 1])))
             size = self.full_mask
             self._table = CayleyTable(
                 size,
@@ -142,8 +153,6 @@ class Power:
     # -- idempotent subsets and their order --------------------------------
 
     def idempotent_masks(self) -> list[int]:
-        if self.n > self.max_enum_order:
-            raise OrderTooLargeError(f"order {self.n} exceeds the enumeration bound {self.max_enum_order}")
         if self._ep is None:
             sq = self.squares()
             self._ep = [m for m in range(1, self.full_mask + 1) if sq[m] == m]
@@ -187,19 +196,19 @@ class Power:
         from .breakable import enumerate_a2_masks, enumerate_a2bar_masks
 
         if kind == "a2":
-            return enumerate_a2_masks(self.base, self.max_enum_order)
+            return enumerate_a2_masks(self.base)
         if kind == "a2bar":
-            return enumerate_a2bar_masks(self.base, self.max_enum_order)
+            return enumerate_a2bar_masks(self.base)
         raise ValueError(f"unknown cover kind {kind!r}")
 
     # -- one-sided ideals and Green structure ------------------------------
 
     def right_ideal(self, a: Subset, adjoin: bool = False) -> Subset:
-        m = self.product_mask(self._check(a), self.full_mask)
+        m = self.right_ideals()[self._check(a)]
         return Subset(self.n, m | a.mask if adjoin else m)
 
     def left_ideal(self, a: Subset, adjoin: bool = False) -> Subset:
-        m = self.product_mask(self.full_mask, self._check(a))
+        m = self.left_ideals()[self._check(a)]
         return Subset(self.n, m | a.mask if adjoin else m)
 
     def l_ideal_set(self, m: int) -> frozenset[int]:
@@ -219,32 +228,29 @@ class Power:
             self._rideal[m] = hit
         return hit
 
-    def h_class(self, a: Subset, dec: Decomposition | None = None) -> list[Subset]:
+    def h_class(self, a: Subset) -> list[Subset]:
         """H-class of ``a`` in the power semigroup, by one-sided ideal equality.
 
-        With a decomposition at hand the candidate scan is restricted to
-        subsets with the same component support, which is sound because
-        D-related subsets share their support.
+        Candidates share both A*S and S*A with A: B = A*X gives B*S inside
+        A*S, so R-related subsets have one right ideal B*S, and dually for
+        L.  This holds over any base semigroup.
         """
         am = self._check(a)
-        if dec is not None:
-            want = id_set_mask(am, dec)
-            candidates = [m for m in range(1, self.full_mask + 1) if id_set_mask(m, dec) == want]
-        else:
-            candidates = list(range(1, self.full_mask + 1))
+        left, right = self.left_ideals(), self.right_ideals()
+        same_left = set(positions(left, left[am]))
         my_l = self.l_ideal_set(am)
         my_r = self.r_ideal_set(am)
         return [
             Subset(self.n, m)
-            for m in candidates
-            if self.l_ideal_set(m) == my_l and self.r_ideal_set(m) == my_r
+            for m in positions(right, right[am])
+            if m in same_left and self.l_ideal_set(m) == my_l and self.r_ideal_set(m) == my_r
         ]
 
-    def power_green(self, max_order: int = 8) -> GreenData:
+    def power_green(self) -> GreenData:
         """Green classes over every nonempty subset, indexed by mask - 1:
         :func:`green_relations` of the materialized power table."""
-        if self.n > max_order:
-            raise OrderTooLargeError(f"order {self.n} exceeds the power-Green bound {max_order}")
+        if self.n > MAX_GREEN_ORDER:
+            raise OrderTooLargeError(f"order {self.n} exceeds the power-Green bound {MAX_GREEN_ORDER}")
         return green_relations(self.table())
 
 
@@ -266,14 +272,14 @@ def cover_of(p: Power, lower: Subset, upper: Subset, kind: str = "ep") -> EpOrde
     return EpOrderCover(lower, upper, kind)
 
 
-def h_class_of_idempotent_singleton(p: Power, e: int, dec: Decomposition | None = None) -> list[Subset]:
+def h_class_of_idempotent_singleton(p: Power, e: int) -> list[Subset]:
     """H-class of the singleton {e} in the power semigroup, e idempotent."""
     if p.base.table[e][e] != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
-    return p.h_class(Subset.singleton(p.n, e), dec)
+    return p.h_class(Subset.singleton(p.n, e))
 
 
-def h_class_of_left_zero_set(p: Power, e_set: Subset, dec: Decomposition | None = None) -> list[Subset]:
+def h_class_of_left_zero_set(p: Power, e_set: Subset) -> list[Subset]:
     """H-class of a left zero subsemigroup in the power semigroup."""
     if e_set.n != p.n:
         raise ParentMismatchError("subset belongs to a different carrier")
@@ -284,4 +290,4 @@ def h_class_of_left_zero_set(p: Power, e_set: Subset, dec: Decomposition | None 
         for j in bits(e_set.mask):
             if t[i][j] != i:
                 raise NotLeftZeroError(f"{i}*{j}={t[i][j]}, so the subset is not left zero")
-    return p.h_class(e_set, dec)
+    return p.h_class(e_set)

@@ -178,15 +178,14 @@ def check_power_h_classes(members) -> list[Record]:
 def _h_class_problems(s: CayleyTable):
     p = power_of(s)
     g = green_relations(s)
-    dec = decompose(s)
     for e in range(s.order):
         if s.table[e][e] != e:
             continue
-        got = {sub.mask for sub in h_class_of_idempotent_singleton(p, e, dec)}
+        got = {sub.mask for sub in h_class_of_idempotent_singleton(p, e)}
         want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
         yield None if got == want else f"singleton {{{e}}}: got {sorted(got)}, expected {sorted(want)}"
     for em in left_zero_subset_masks(s):
-        got = {sub.mask for sub in h_class_of_left_zero_set(p, Subset(s.order, em), dec)}
+        got = {sub.mask for sub in h_class_of_left_zero_set(p, Subset(s.order, em))}
         translates = [
             {p.product_mask(em, 1 << a) for a in range(s.order) if g.hclass[a] == g.hclass[e]} for e in bits(em)
         ]

@@ -14,9 +14,10 @@ from crglobal.breakable import (
     satisfies_an,
     structural_form,
 )
+from crglobal.cli import main, table_to_json
 from crglobal.core import Subset
 from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
-from crglobal.globaldet import power_of
+from crglobal.globaldet import power_of, side_data
 
 
 def test_satisfies_an_examples():
@@ -49,7 +50,22 @@ def test_enumerate_counts(named):
 
 def test_enumerate_bound():
     with pytest.raises(OrderTooLargeError):
-        enumerate_a3(families.tower_12(), max_order=11)
+        enumerate_a3(families.left_zero(17))
+
+
+def test_each_enumeration_is_cached_once_per_table(named, tmp_path, capsys):
+    s = named["clifford-3"]
+    scans = (enumerate_a3_masks, enumerate_a2_masks, enumerate_a2bar_masks)
+    for scan in scans:
+        scan.cache_clear()
+    side_data.cache_clear()
+    side_data(s)
+    power_of(s)._cover_pool("a2")
+    path = tmp_path / "c3.json"
+    path.write_text(table_to_json("clifford-3", s))
+    assert main(["breakable", str(path)]) == 0
+    for scan in scans:
+        assert scan.cache_info().currsize == 1, scan.__name__
 
 
 def test_containment_chain(cr6):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from crglobal import families
 from crglobal.cli import main, parse_table_text, table_to_json
 
@@ -64,6 +66,29 @@ def test_analyze_rejects_empty_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: empty table\n"
 
 
+def assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"table": 5}',
+        '{"table": [1, 2]}',
+        '{"table": null}',
+        '{"table": [[0]], "labels": 5}',
+        '{"order": 5, "table": [[0]]}',
+        "2 junk\n0 0\n1 1\n",
+    ],
+)
+def test_analyze_rejects_malformed_table_document(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.txt", text)
+    assert main(["analyze", path]) == 2
+    assert_one_line_error(capsys)
+
+
 def test_breakable_cyclic_2(tmp_path, capsys):
     path = write(tmp_path, "z2.txt", table_text(families.cyclic_group(2)))
     assert main(["breakable", path]) == 0
@@ -114,6 +139,12 @@ def test_globaliso_trivial(tmp_path, capsys):
 def test_globaliso_bound(tmp_path):
     path = write(tmp_path, "l6.txt", table_text(families.left_zero(6)))
     assert main(["globaliso", path, path]) == 2
+
+
+def test_globaliso_rejects_limit_zero(tmp_path, capsys):
+    path = write(tmp_path, "l2.txt", table_text(families.left_zero(2)))
+    assert main(["globaliso", path, path, "--limit", "0"]) == 2
+    assert_one_line_error(capsys)
 
 
 def test_verify_quick_passes_and_is_deterministic(capsys, monkeypatch):

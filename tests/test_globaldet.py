@@ -45,6 +45,13 @@ def test_find_isomorphisms_respects_limit():
     assert len(find_isomorphisms(l5, l5, limit=3)) == 3
 
 
+def test_find_isomorphisms_rejects_limit_below_one():
+    l2 = families.left_zero(2)
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            find_isomorphisms(l2, l2, limit=limit)
+
+
 def test_find_isomorphisms_budget():
     z3 = families.cyclic_group(3)
     with pytest.raises(SearchBudgetExceededError):
@@ -141,7 +148,7 @@ def test_power_table_examples():
     assert pz2.table == ((0, 1, 2), (1, 0, 2), (2, 2, 2))
     assert power_table(families.left_zero(1)).order == 1
     with pytest.raises(OrderTooLargeError):
-        power_table(families.cyclic_group(5), bound=16)
+        power_table(families.left_zero(16))
 
 
 def test_lift_examples():

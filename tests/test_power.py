@@ -5,7 +5,7 @@ import pytest
 from oracles import oracle_dual, oracle_mask, oracle_power_green, oracle_subset_product
 
 from crglobal import families
-from crglobal.core import Subset, bits, green_relations
+from crglobal.core import Subset, bits, green_relations, is_completely_regular
 from crglobal.errors import (
     EmptySubsetError,
     NotComparableError,
@@ -17,7 +17,6 @@ from crglobal.errors import (
 from crglobal.globaldet import power_of
 from crglobal.verify import cr_members
 from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set
-from crglobal.structure import decompose
 
 
 def masks(subsets):
@@ -98,7 +97,7 @@ def test_enumerate_ep_counts(named):
 
 
 def test_enumerate_ep_bound():
-    p = Power(families.tower_12(), max_enum_order=11)
+    p = Power(families.left_zero(17))
     with pytest.raises(OrderTooLargeError):
         p.enumerate_ep()
 
@@ -163,7 +162,7 @@ def test_cover_kinds_weaken_along_pool_inclusion(cr5):
 
 def test_h_class_of_idempotent_singleton_examples():
     z2 = families.cyclic_group(2)
-    got = h_class_of_idempotent_singleton(power_of(z2), 0, decompose(z2))
+    got = h_class_of_idempotent_singleton(power_of(z2), 0)
     assert masks(got) == [1, 2]
     l2 = families.left_zero(2)
     assert masks(h_class_of_idempotent_singleton(power_of(l2), 0)) == [1]
@@ -179,7 +178,7 @@ def test_h_class_of_left_zero_set_examples():
     rb = families.rect_band(2, 2)
     # an L-class {(0,0),(1,0)} is a left zero subsemigroup: indices 0 and 2
     e_set = Subset.of(4, [0, 2])
-    assert masks(h_class_of_left_zero_set(power_of(rb), e_set, decompose(rb))) == [e_set.mask]
+    assert masks(h_class_of_left_zero_set(power_of(rb), e_set)) == [e_set.mask]
     with pytest.raises(NotLeftZeroError):
         h_class_of_left_zero_set(power_of(rb), Subset.of(4, [0, 1]))
 
@@ -216,29 +215,26 @@ def test_power_green_matches_set_product_oracle(cr5):
 def test_h_class_answers_where_power_green_refuses():
     s = families.tower_12()
     p = power_of(s)
-    dec = decompose(s)
     g = green_relations(s)
     for e in range(s.order):
         if s.table[e][e] == e:
             want = [1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]]
-            assert masks(h_class_of_idempotent_singleton(p, e, dec)) == want, e
+            assert masks(h_class_of_idempotent_singleton(p, e)) == want, e
     with pytest.raises(OrderTooLargeError):
         p.power_green()
 
 
-def test_h_class_prune_matches_unpruned(cr5):
-    for name, s in cr5:
+def test_h_class_prune_matches_unpruned(cr5, corpus_members):
+    # the candidates sharing A*S and S*A lose no H-class member, on
+    # completely regular bases and on the others alike
+    others = [(name, s) for name, s in corpus_members if s.order <= 3 and not is_completely_regular(s)]
+    assert others
+    for name, s in cr5 + others:
         p = power_of(s)
-        dec = decompose(s)
         hclass = p.power_green().hclass
-        for e in range(s.order):
-            if s.table[e][e] != e:
-                continue
-            pruned = masks(h_class_of_idempotent_singleton(p, e, dec))
-            free = masks(h_class_of_idempotent_singleton(p, e))
-            assert pruned == free, name
-            whole = [m for m in range(1, p.full_mask + 1) if hclass[m - 1] == hclass[(1 << e) - 1]]
-            assert free == whole, name
+        for am in range(1, p.full_mask + 1):
+            whole = [m for m in range(1, p.full_mask + 1) if hclass[m - 1] == hclass[am - 1]]
+            assert masks(p.h_class(Subset(s.order, am))) == whole, (name, am)
 
 
 def _elements(mask):
@@ -272,13 +268,14 @@ def test_squares_and_right_ideals_match_set_oracle(corpus_members):
         if s.order > 6:
             continue
         p = Power(s)
-        squares, ideals = p.squares(), p.right_ideals()
-        assert len(squares) == len(ideals) == 1 << s.order, name
+        squares, ideals, lefts = p.squares(), p.right_ideals(), p.left_ideals()
+        assert len(squares) == len(ideals) == len(lefts) == 1 << s.order, name
         carrier = set(range(s.order))
         for m in range(1, 1 << s.order):
             a = _elements(m)
             assert squares[m] == oracle_mask(oracle_subset_product(s, a, a)), (name, m)
             assert ideals[m] == oracle_mask(oracle_subset_product(s, a, carrier)), (name, m)
+            assert lefts[m] == oracle_mask(oracle_subset_product(s, carrier, a)), (name, m)
 
 
 def test_product_refuses_order_above_enumeration_bound():
