@@ -9,9 +9,8 @@ characterizations that are scanned by brute force here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import CayleyTable, Subset, bits, is_left_zero, is_right_zero, is_subsemigroup_mask, mask_of, restrict
+from .core import CayleyTable, Subset, bits, derived, green_relations, is_subsemigroup_mask, mask_of
 from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
 from .power import MAX_ORDER, Power, positions
 from .structure import decompose, id_set_mask
@@ -33,12 +32,6 @@ class BreakableForm:
     @property
     def has_group_top(self) -> bool:
         return bool(self.kinds) and self.kinds[-1] == TWO_GROUP_TOP
-
-    def union_mask(self) -> int:
-        m = 0
-        for c in self.chunks:
-            m |= c.mask
-        return m
 
 
 def satisfies_an_mask(s: CayleyTable, mask: int, n: int) -> bool:
@@ -66,7 +59,7 @@ def satisfies_an(s: CayleyTable, a: Subset, n: int) -> bool:
     return satisfies_an_mask(s, a.mask, n)
 
 
-@lru_cache(maxsize=None)
+@derived
 def enumerate_a3_masks(s: CayleyTable) -> list[int]:
     if s.order > MAX_ORDER:
         raise OrderTooLargeError(f"order {s.order} exceeds the subset-scan bound {MAX_ORDER}")
@@ -77,14 +70,14 @@ def enumerate_a3_masks(s: CayleyTable) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@derived
 def enumerate_a2_masks(s: CayleyTable) -> list[int]:
     """The pair-condition subsemigroups, filtered from the triple-condition
     ones: ab in {a, b} gives abc in {ab, c}, inside {a, b, c}."""
     return [m for m in enumerate_a3_masks(s) if satisfies_an_mask(s, m, 2)]
 
 
-@lru_cache(maxsize=None)
+@derived
 def enumerate_a2bar_masks(s: CayleyTable) -> list[int]:
     """Breakable subsemigroups supported on a single component."""
     dec = decompose(s)
@@ -106,38 +99,41 @@ def enumerate_a2bar(s: CayleyTable) -> list[Subset]:
 def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
     """Chain-of-chunks shape of a subset satisfying the triple condition.
 
-    The subset, viewed as a semigroup of its own, satisfies x*x*x = x, so it
-    is completely regular and decomposes into completely simple components
-    over a chain; those components are the chunks.
+    The subset A, viewed as a semigroup of its own, satisfies x*x*x = x, so
+    it is completely regular and its D-classes, the chunks, form a chain in
+    which lower chunks absorb higher ones.  Each chunk is A meet a D-class of
+    ``s``, in any finite semigroup: if e lies in a lower left zero chunk and
+    f = b*b in a higher one, then e*f lies in e's chunk, so e*f = e and
+    e <=_L f.  Were e J f as well, finiteness would give e L f, so f*e = f
+    would lie in e's chunk, a contradiction.  The right zero case is dual,
+    and only the top chunk may be neither.
     """
-    if not (is_subsemigroup_mask(s, a.mask) and satisfies_an_mask(s, a.mask, 3)):
+    am = a.mask
+    if not (is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)):
         raise NotA3Error("structural form needs the triple-product condition")
-    elems = list(bits(a.mask))
-    sub = restrict(s, elems)
-    dec = decompose(sub)
-    k = dec.count
-    for x in range(k):
-        for y in range(k):
-            if not (dec.leq(x, y) or dec.leq(y, x)):
-                raise NotA3Error("component support is not a chain")
-    order = sorted(range(k), key=lambda c: sum(1 for d in range(k) if dec.leq(d, c)))
-    chunks = []
+    t = s.table
+    dclass = green_relations(s).dclass
+    chunks: dict[int, int] = {}
+    for e in bits(am):
+        chunks[dclass[e]] = chunks.get(dclass[e], 0) | 1 << e
+    reps = {m: (m & -m).bit_length() - 1 for m in chunks.values()}
+    # a chunk's rank counts the chunks holding its representative's product with theirs
+    rank = {m: sum((d >> t[r][reps[m]]) & 1 for d, r in reps.items()) for m in reps}
+    ordered = sorted(reps, key=rank.__getitem__)
+    if sorted(rank.values()) != list(range(1, len(ordered) + 1)):
+        raise NotA3Error("component support is not a chain")
     kinds = []
-    for pos, cid in enumerate(order):
-        local = dec.component_elements(cid)
-        chunk = Subset.of(s.order, (elems[i] for i in local))
-        sub_comp = restrict(sub, local)
-        if is_left_zero(sub_comp):
-            kind = "left-zero"
-        elif is_right_zero(sub_comp):
-            kind = "right-zero"
+    for m in ordered:
+        elems = tuple(bits(m))
+        if all(t[x][y] == x for x in elems for y in elems):
+            kinds.append("left-zero")
+        elif all(t[x][y] == y for x in elems for y in elems):
+            kinds.append("right-zero")
+        elif m == ordered[-1] and len(elems) == 2:
+            kinds.append(TWO_GROUP_TOP)
         else:
-            if pos != k - 1 or sub_comp.order != 2:
-                raise NotA3Error("non-zero chunk off the top of the chain")
-            kind = TWO_GROUP_TOP
-        chunks.append(chunk)
-        kinds.append(kind)
-    return BreakableForm(tuple(chunks), tuple(kinds))
+            raise NotA3Error("non-zero chunk off the top of the chain")
+    return BreakableForm(tuple(Subset(s.order, m) for m in ordered), tuple(kinds))
 
 
 def a3_counterexample(p: Power, a: Subset) -> Subset | None:

@@ -2,13 +2,14 @@
 and the natural partial order.
 
 Elements are the indices 0..n-1; a semigroup is just its n x n product table.
-Subsets of the carrier are n-bit masks wrapped in :class:`Subset`.
+Subsets of the carrier are n-bit masks wrapped in :class:`Subset`.  Data
+derived from a table is kept on the table instance, see :func:`derived`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import wraps
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -27,9 +28,8 @@ class CayleyTable:
     order: int
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+    # filled by @derived functions; freed with the table, not shared by equal tables
+    _derived: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
@@ -110,6 +110,21 @@ def bits(mask: int):
         mask ^= low
 
 
+def derived(fn):
+    """Compute ``fn(s)`` once per table instance and keep it in ``s._derived``,
+    freed with the table; an equal table built separately computes its own."""
+
+    @wraps(fn)
+    def cached(s: "CayleyTable"):
+        try:
+            return s._derived[fn]
+        except KeyError:
+            value = s._derived[fn] = fn(s)
+            return value
+
+    return cached
+
+
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:
@@ -182,7 +197,7 @@ def _number_classes(keys: list) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@derived
 def green_relations(s: CayleyTable) -> GreenData:
     """L/R/H/D classes by principal-ideal equality, plus per-element group data.
 
@@ -243,7 +258,7 @@ def green_relations(s: CayleyTable) -> GreenData:
     return GreenData(lclass, rclass, hclass, dclass, idem, tuple(local_identity), tuple(local_inverse))
 
 
-@lru_cache(maxsize=None)
+@derived
 def j_classes(s: CayleyTable) -> tuple[int, ...]:
     """J classes via two-sided principal ideals, computed independently of D."""
     n = s.order
@@ -287,7 +302,7 @@ def is_right_zero(s: CayleyTable) -> bool:
     return all(s.table[i][j] == j for i in range(s.order) for j in range(s.order))
 
 
-@lru_cache(maxsize=None)
+@derived
 def natural_order(s: CayleyTable) -> NaturalOrder:
     """a <= b iff a = e*b = b*f for some idempotents e, f."""
     n = s.order

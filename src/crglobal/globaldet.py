@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .breakable import a3_counterexample, enumerate_a2_masks, enumerate_a2bar_masks, enumerate_a3_masks
-from .core import CayleyTable, Subset, bits, green_relations, mask_of, natural_order
+from .core import CayleyTable, Subset, bits, derived, green_relations, mask_of, natural_order
 from .errors import (
     BlockSizeMismatchError,
     EtaNotMorphismError,
@@ -40,15 +39,6 @@ class IsoMap:
     forward: tuple[int, ...]
     inverse: tuple[int, ...]
     verified: bool = False
-
-    def map(self, i: int) -> int:
-        return self.forward[i]
-
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
-
-    def __len__(self) -> int:
-        return len(self.forward)
 
 
 def _invert(forward) -> tuple[int, ...]:
@@ -278,7 +268,7 @@ def power_table(s: CayleyTable) -> CayleyTable:
     return power_of(s).table()
 
 
-@lru_cache(maxsize=None)
+@derived
 def power_of(s: CayleyTable) -> Power:
     return Power(s)
 
@@ -510,7 +500,7 @@ class SideData:
         return [c for c in range(self.dec.count) if self.dec.classification[c] in (LEFT_ZERO, RIGHT_ZERO)]
 
 
-@lru_cache(maxsize=None)
+@derived
 def side_data(table: CayleyTable) -> SideData:
     return SideData(table)
 

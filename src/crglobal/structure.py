@@ -8,9 +8,8 @@ kind tag per component (left zero / right zero / neither).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import CayleyTable, Subset, bits, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, restrict
+from .core import CayleyTable, Subset, bits, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, restrict
 from .errors import DecompositionError, EmptySubsetError, NotCompletelyRegularError, ParentMismatchError
 
 LEFT_ZERO = "left-zero"
@@ -41,7 +40,7 @@ class Decomposition:
         return alpha != beta and self.leq(alpha, beta)
 
 
-@lru_cache(maxsize=None)
+@derived
 def decompose(s: CayleyTable) -> Decomposition:
     """Split a completely regular semigroup into its completely simple components."""
     if not is_completely_regular(s):

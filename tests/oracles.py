@@ -147,3 +147,33 @@ def oracle_power_green(s: CayleyTable) -> tuple[tuple[int, ...], ...]:
         for a in range(size)
     )
     return lclass, rclass, hclass, dclass
+
+
+def oracle_chunks(t: CayleyTable, mask: int) -> list[int]:
+    """D-classes of the subset A inside A itself, as masks, lowest first.
+
+    a ~ b when each lies in the other's two-sided ideal in A^1, from literal
+    products over A (D = J in a finite semigroup).  A class sits below every
+    class it absorbs on both sides, so the lowest absorbs the most classes.
+    """
+    tab = t.table
+    elems = [e for e in range(t.order) if mask >> e & 1]
+    ideal = {
+        a: {a}
+        | {tab[x][a] for x in elems}
+        | {tab[a][y] for y in elems}
+        | {tab[tab[x][a]][y] for x in elems for y in elems}
+        for a in elems
+    }
+    classes: list[list[int]] = []
+    for a in elems:
+        home = next((c for c in classes if a in ideal[c[0]] and c[0] in ideal[a]), None)
+        if home is None:
+            classes.append([a])
+        else:
+            home.append(a)
+
+    def absorbs(low, high) -> bool:
+        return all(tab[x][y] in low and tab[y][x] in low for x in low for y in high)
+
+    return [oracle_mask(c) for c in sorted(classes, key=lambda c: -sum(absorbs(c, d) for d in classes))]

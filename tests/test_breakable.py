@@ -1,4 +1,8 @@
+import sys
+from collections import Counter
+
 import pytest
+from oracles import oracle_chunks, oracle_dual
 
 from crglobal import families
 from crglobal.breakable import (
@@ -14,8 +18,7 @@ from crglobal.breakable import (
     satisfies_an,
     structural_form,
 )
-from crglobal.cli import main, table_to_json
-from crglobal.core import Subset
+from crglobal.core import CayleyTable, Subset
 from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
 from crglobal.globaldet import power_of, side_data
 
@@ -53,19 +56,29 @@ def test_enumerate_bound():
         enumerate_a3(families.left_zero(17))
 
 
-def test_each_enumeration_is_cached_once_per_table(named, tmp_path, capsys):
+def test_each_enumeration_is_cached_once_per_table(named):
+    # each value is computed once per table instance: count runs of each
+    # body across side_data, the a2 cover pool and the a2bar chain
     s = named["clifford-3"]
-    scans = (enumerate_a3_masks, enumerate_a2_masks, enumerate_a2bar_masks)
-    for scan in scans:
-        scan.cache_clear()
-    side_data.cache_clear()
-    side_data(s)
-    power_of(s)._cover_pool("a2")
-    path = tmp_path / "c3.json"
-    path.write_text(table_to_json("clifford-3", s))
-    assert main(["breakable", str(path)]) == 0
-    for scan in scans:
-        assert scan.cache_info().currsize == 1, scan.__name__
+    fresh = CayleyTable(s.order, s.table, s.labels)
+    cached = (enumerate_a3_masks, enumerate_a2_masks, enumerate_a2bar_masks, side_data)
+    bodies = {fn.__wrapped__.__code__: fn.__name__ for fn in cached}
+    runs = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            runs[bodies[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        side_data(fresh)
+        power_of(fresh)._cover_pool("a2")
+        power_of(fresh)._cover_pool("a2bar")
+        enumerate_a2bar_masks(fresh)
+        side_data(fresh)
+    finally:
+        sys.setprofile(None)
+    assert runs == {fn.__name__: 1 for fn in cached}
 
 
 def test_containment_chain(cr6):
@@ -101,6 +114,20 @@ def test_structural_form_group_top_only_without_pair_condition(cr6):
         for am in enumerate_a3_masks(s):
             form = structural_form(s, Subset(s.order, am))
             assert form.has_group_top == (am not in a2), (name, am)
+
+
+def test_structural_form_matches_chunk_oracle(corpus_members):
+    # chunks read from the base D-classes against the subset's own
+    # D-classes, on regular and non-regular bases alike
+    tables = [s for _, s in corpus_members]
+    tables += [s for n in (1, 2, 3) for s in families.enumerate_small(n)]
+    tables += [families.rect_band(2, 4)]
+    assert any(s.order == 12 for s in tables)  # tower-12
+    tables += [oracle_dual(s) for s in tables]
+    for s in tables:
+        for am in enumerate_a3_masks(s):
+            form = structural_form(s, Subset(s.order, am))
+            assert [c.mask for c in form.chunks] == oracle_chunks(s, am), (s.table, am)
 
 
 def test_a3_characterization_examples():

@@ -1,11 +1,14 @@
+import gc
 import random
+import weakref
 
 import pytest
 from oracles import oracle_automorphism_count, oracle_is_isomorphism, oracle_power_rows
 
 from crglobal import families, globaldet, verify
+from crglobal.breakable import enumerate_a2bar_masks
 from crglobal.cli import main, table_to_json
-from crglobal.core import bits, is_left_zero, validate_table
+from crglobal.core import CayleyTable, bits, is_left_zero, validate_table
 from crglobal.errors import (
     OrderTooLargeError,
     SearchBudgetExceededError,
@@ -21,6 +24,7 @@ from crglobal.globaldet import (
     find_isomorphisms,
     is_singleton_preserving,
     lift,
+    power_of,
     power_table,
     psi_image_mask,
     rho_partition,
@@ -81,6 +85,19 @@ def relabel(s, perm):
         for j in range(n):
             rows[perm[i]][perm[j]] = perm[s.table[i][j]]
     return validate_table(rows)
+
+
+def test_derived_data_is_freed_with_its_table(named):
+    # the data lives on the table instance, so nothing module-level keeps it
+    fresh = relabel(named["z2-over-lz2"], [3, 1, 0, 2])
+    power_of(fresh).table()
+    globaldet.side_data(fresh)
+    decompose(fresh)
+    enumerate_a2bar_masks(fresh)
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.fixture(scope="module")
@@ -390,8 +407,13 @@ def test_no_power_iso_between_distinct_globals():
     assert find_isomorphisms(power_table(z2), power_table(l2)) == []
 
 
+def fresh(t):
+    """An equal table that shares no derived data with ``t``."""
+    return CayleyTable(t.order, t.table, t.labels)
+
+
 def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
-    globaldet.side_data.cache_clear()
+    members = [(name, fresh(s)) for name, s in cr4]
     shape_runs = []
     shape_checks = globaldet._a3_shape_checks
 
@@ -408,11 +430,9 @@ def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
 
     monkeypatch.setattr(globaldet, "_a3_shape_checks", counting_shape_checks)
     monkeypatch.setattr(verify, "verify_statement_suite", recording_suite)
-    global_sweep(cr4)
-    sides = {s for _, s in cr4}
+    global_sweep(members)
+    sides = {s for _, s in members}
     assert len(suites) > len(sides)
     assert len(shape_runs) == len(set(shape_runs)) == len(sides)
     for s, s2, psi, records in suites:
-        globaldet.side_data.cache_clear()
-        assert verify_statement_suite(s, s2, psi) == records
-    globaldet.side_data.cache_clear()
+        assert verify_statement_suite(fresh(s), fresh(s2), psi) == records

@@ -102,6 +102,22 @@ def test_enumerate_ep_bound():
         p.enumerate_ep()
 
 
+def test_table_bound_admits_order_11_and_refuses_order_12(monkeypatch):
+    # the build is replaced by a sentinel, so no large table is made; a bound
+    # half or twice as large fails one of the two cases
+    class Built(Exception):
+        pass
+
+    def build(self):
+        raise Built
+
+    monkeypatch.setattr(Power, "translate_rows", build)
+    with pytest.raises(Built):
+        Power(families.left_zero(11)).table()
+    with pytest.raises(OrderTooLargeError):
+        Power(families.left_zero(12)).table()
+
+
 def test_ep_order_examples(named):
     c3 = power_of(named["clifford-3"])
     z = Subset.singleton(3, 0)
