@@ -37,9 +37,14 @@ def parse_table_text(text: str) -> CayleyTable:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
+        if "table" not in doc:
+            raise SemigroupError("the JSON document has no 'table' key")
         s = validate_table(doc["table"], doc.get("labels"))
-        if doc.get("order", s.order) != s.order:
-            raise SemigroupError(f"header order {doc['order']!r} does not match a table of {s.order} rows")
+        order = doc.get("order", s.order)
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise SemigroupError(f"header order must be an integer, got {order!r}")
+        if order != s.order:
+            raise SemigroupError(f"header order {order!r} does not match a table of {s.order} rows")
         return s
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -112,7 +112,8 @@ def bits(mask: int):
 
 def derived(fn):
     """Compute ``fn(s)`` once per table instance and keep it in ``s._derived``,
-    freed with the table; an equal table built separately computes its own."""
+    freed with the table; an equal table built separately computes its own.
+    Every caller gets the same value, so callers must not mutate it."""
 
     @wraps(fn)
     def cached(s: "CayleyTable"):
@@ -179,6 +180,8 @@ def validate_table(raw: Sequence[Sequence[int]], labels: Sequence[str] | None = 
         lab = tuple(str(x) for x in labels)
         if len(lab) != n:
             raise TableShapeError(f"{len(lab)} labels for {n} elements")
+        if len(set(lab)) != n:
+            raise TableShapeError("labels must be distinct")
     return CayleyTable(n, t, lab)
 
 

@@ -250,34 +250,53 @@ def canonical_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
 
 
 def enumerate_small(n: int, filt: Callable[[CayleyTable], bool] | None = None) -> list[CayleyTable]:
-    """Every semigroup of order ``n`` <= 3, one table per isomorphism class."""
+    """Every semigroup of order ``n`` <= 3, one table per isomorphism class.
+
+    Backtracking: the table is filled cell by cell in row-major order, and a
+    value is kept only while every associativity triple whose four products
+    are already filled holds.  Each complete table is kept as its
+    :func:`canonical_form`, and the classes come out sorted by that form.
+    """
     if n > 3:
         raise OrderTooLargeError(f"exhaustive enumeration is capped at order 3, got {n}")
     _positive(n)
     rng = range(n)
+    t: list[list[int | None]] = [[None] * n for _ in rng]
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for flat in itertools.product(rng, repeat=n * n):
-        t = tuple(flat[i * n : (i + 1) * n] for i in rng)
-        if not _associative(t, n):
-            continue
-        canon = canonical_form(t)
-        seen.add(canon)
+
+    def consistent() -> bool:
+        for x in rng:
+            tx = t[x]
+            for y in rng:
+                xy = tx[y]
+                if xy is None:
+                    continue
+                txy, ty = t[xy], t[y]
+                for z in rng:
+                    yz = ty[z]
+                    if yz is None:
+                        continue
+                    left, right = txy[z], tx[yz]
+                    if left is not None and right is not None and left != right:
+                        return False
+        return True
+
+    def fill(cell: int) -> None:
+        if cell == n * n:
+            seen.add(canonical_form(t))
+            return
+        row = t[cell // n]
+        for v in rng:
+            row[cell % n] = v
+            if consistent():
+                fill(cell + 1)
+        row[cell % n] = None
+
+    fill(0)
     out = [CayleyTable(n, rows) for rows in sorted(seen)]
     if filt is not None:
         out = [s for s in out if filt(s)]
     return out
-
-
-def _associative(t: tuple[tuple[int, ...], ...], n: int) -> bool:
-    for i in range(n):
-        ti = t[i]
-        for j in range(n):
-            tij = t[ti[j]]
-            tj = t[j]
-            for k in range(n):
-                if tij[k] != ti[tj[k]]:
-                    return False
-    return True
 
 
 def _collapse_hom(src: CayleyTable, target_element: int) -> tuple[int, ...]:

@@ -83,6 +83,7 @@ def _order_profile(t: CayleyTable, x: int) -> tuple[int, int]:
         seen[y] = k
 
 
+@derived
 def _base_signature(t: CayleyTable) -> list:
     g = green_relations(t)
     lsz = Counter(g.lclass)
@@ -111,6 +112,7 @@ def _canon_pair(rawa: list, rawb: list) -> tuple[list[int], list[int]]:
     return ca, cb
 
 
+@derived
 def _neighbourhoods(t: CayleyTable) -> list:
     """Per element x: the row x*y, the column y*x, and for each y four bits
     telling whether x*y == x, x*y == y, y*x == x and y*x == y."""

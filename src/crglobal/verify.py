@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 from .breakable import (
     a2_characterization,
@@ -50,9 +50,17 @@ from .structure import decompose
 
 NON_CR_INJECTION = validate_table([[0, 0], [0, 0]])
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def records_to_json_lines(records: list[Record]) -> str:
-    return "\n".join(json.dumps(asdict(r), sort_keys=True) for r in records) + "\n"
+    return (
+        "\n".join(
+            _encode({"check": r.check, "scope": r.scope, "instances": r.instances, "ok": r.ok, "witness": r.witness})
+            for r in records
+        )
+        + "\n"
+    )
 
 
 def summarize(records: list[Record]) -> str:
@@ -272,7 +280,7 @@ def global_sweep(members, limit: int = 8) -> SweepResult:
                     records.append(Record("eta-construction", pscope, 1, False, str(exc)))
                 for rec in verify_statement_suite(s, s2, psi):
                     coverage[rec.check] += rec.instances
-                    records.append(replace(rec, scope=pscope))
+                    records.append(Record(rec.check, pscope, rec.instances, rec.ok, rec.witness))
     return SweepResult(records, psi_total, nonsingleton, coverage, etas)
 
 

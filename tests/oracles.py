@@ -2,13 +2,13 @@
 
 These deliberately avoid the library's ideal-set computations: Green
 relations are decided by mutual divisibility, products by literal set
-comprehension, regularity by scanning for a witness, and automorphisms by
-trying every permutation.
+comprehension, regularity by scanning for a witness, automorphisms by
+trying every permutation, and the small semigroups by trying every table.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 from crglobal.core import CayleyTable
 
@@ -177,3 +177,31 @@ def oracle_chunks(t: CayleyTable, mask: int) -> list[int]:
         return all(tab[x][y] in low and tab[y][x] in low for x in low for y in high)
 
     return [oracle_mask(c) for c in sorted(classes, key=lambda c: -sum(absorbs(c, d) for d in classes))]
+
+
+def oracle_associative_tables(n: int):
+    """Every associative n x n table over 0..n-1, by trying all n^(n*n)."""
+    for flat in product(range(n), repeat=n * n):
+        t = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if all(t[t[x][y]][z] == t[x][t[y][z]] for x in range(n) for y in range(n) for z in range(n)):
+            yield t
+
+
+def oracle_relabel_least(t) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically least table among all n! relabellings of ``t``."""
+    n = len(t)
+    out = []
+    for perm in permutations(range(n)):
+        # perm[x] is the new name of x
+        rows = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                rows[perm[x]][perm[y]] = perm[t[x][y]]
+        out.append(tuple(tuple(r) for r in rows))
+    return min(out)
+
+
+def oracle_small_semigroups(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """One table per isomorphism class of order ``n``: the least relabelling
+    of each associative table, deduplicated and sorted."""
+    return sorted({oracle_relabel_least(t) for t in oracle_associative_tables(n)})

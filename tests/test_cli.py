@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -5,6 +6,8 @@ import pytest
 
 from crglobal import families
 from crglobal.cli import main, parse_table_text, table_to_json
+from crglobal.globaldet import Record
+from crglobal.verify import records_to_json_lines
 
 
 def write(tmp_path, name, text):
@@ -66,6 +69,12 @@ def test_analyze_rejects_empty_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: empty table\n"
 
 
+def test_analyze_names_missing_table_key(tmp_path, capsys):
+    path = write(tmp_path, "bad.json", '{"order": 1}')
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == "error: the JSON document has no 'table' key\n"
+
+
 def assert_one_line_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -80,6 +89,11 @@ def assert_one_line_error(capsys):
         '{"table": null}',
         '{"table": [[0]], "labels": 5}',
         '{"order": 5, "table": [[0]]}',
+        '{"table": [[0]], "order": true}',
+        '{"table": [[0]], "order": 1.0}',
+        '{"table": [[0]], "order": "1"}',
+        '{"table": [[0, 1], [1, 0]], "labels": ["a", "a"]}',
+        '{"order": 1}',
         "2 junk\n0 0\n1 1\n",
     ],
 )
@@ -200,3 +214,16 @@ def test_env_malformed_bound_is_operational_error(monkeypatch, tmp_path, capsys)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: CRGLOBAL_MAX_ORDER must be an integer, got 'abc'\n"
+
+
+def test_records_serialize_as_sorted_json_of_their_fields():
+    records = [
+        Record("plain", "a|b#psi0", 3, True),
+        Record("quoted", 'say "hi"', 0, False, 'a "quoted" witness'),
+        Record("escapes", "back\\slash", 1, False, "line one\nline two\t\\"),
+        Record("unicode", "ρ-partition", 2, False, "η ≠ φ ∘ ψ, naïve 🙂"),
+        Record("none", "", 7, True, None),
+    ]
+    lines = records_to_json_lines(records)
+    assert lines.endswith("\n")
+    assert lines.split("\n")[:-1] == [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in records]

@@ -49,6 +49,12 @@ def test_validate_rejects_non_square():
         validate_table([[0, 1], [1, 1], [0]])
 
 
+def test_validate_rejects_repeated_labels():
+    with pytest.raises(TableShapeError):
+        validate_table([[0, 1], [1, 0]], ["a", "a"])
+    assert validate_table([[0, 1], [1, 0]], ["a", "b"]).labels == ("a", "b")
+
+
 def test_validate_rejects_out_of_range():
     with pytest.raises(EntryOutOfRangeError) as exc:
         validate_table([[0, 2], [1, 1]])

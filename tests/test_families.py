@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from oracles import oracle_associative_tables, oracle_dual, oracle_relabel_least, oracle_small_semigroups
 
 from crglobal import families
 from crglobal.core import green_relations, is_completely_regular, is_completely_simple, is_left_zero, restrict, validate_table
@@ -147,17 +148,22 @@ def test_enumerate_small_counts():
 def test_enumerate_small_labeled_counts():
     # secondary anchor: raw associative-table counts before deduplication
     for n, want in ((2, 8), (3, 113)):
-        count = 0
-        for flat in itertools.product(range(n), repeat=n * n):
-            t = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            if all(
-                t[t[i][j]][k] == t[i][t[j][k]]
-                for i in range(n)
-                for j in range(n)
-                for k in range(n)
-            ):
-                count += 1
-        assert count == want
+        assert sum(1 for _ in oracle_associative_tables(n)) == want
+
+
+def test_enumerate_small_matches_brute_force():
+    for n in (1, 2, 3):
+        assert [s.table for s in enumerate_small(n)] == oracle_small_semigroups(n)
+
+
+def test_enumerate_small_classes_up_to_duality():
+    # OEIS A001423: semigroups up to isomorphism or anti-isomorphism
+    for n, want in ((1, 1), (2, 4), (3, 18)):
+        pairs = {
+            frozenset((s.table, oracle_relabel_least(oracle_dual(s).table)))
+            for s in enumerate_small(n)
+        }
+        assert len(pairs) == want
 
 
 def test_enumerate_small_filter():

@@ -1,6 +1,8 @@
 import gc
 import random
+import sys
 import weakref
+from collections import Counter
 
 import pytest
 from oracles import oracle_automorphism_count, oracle_is_isomorphism, oracle_power_rows
@@ -436,3 +438,25 @@ def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
     assert len(shape_runs) == len(set(shape_runs)) == len(sides)
     for s, s2, psi, records in suites:
         assert verify_statement_suite(fresh(s), fresh(s2), psi) == records
+
+
+def test_search_invariants_are_computed_once_per_table(cr4):
+    # the colouring's base signature and neighbourhood rows are kept on each
+    # table instance: the members and the power table of each member
+    members = [(name, fresh(s)) for name, s in cr4]
+    watched = (globaldet._base_signature, globaldet._neighbourhoods)
+    bodies = {getattr(fn, "__wrapped__", fn).__code__: fn.__name__ for fn in watched}
+    runs = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            runs[bodies[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        global_sweep(members)
+    finally:
+        sys.setprofile(None)
+    instances = 2 * len(members)
+    assert set(runs) == {fn.__name__ for fn in watched}
+    assert all(count <= instances for count in runs.values()), (runs, instances)
