@@ -25,12 +25,10 @@ from .breakable import (
     a3_characterization,
     a3_counterexample,
     enumerate_a2,
-    enumerate_a2bar,
     enumerate_a3,
-    satisfies_an,
     structural_form,
 )
-from .families import FamilySpec, build, canonical_form, corpus, enumerate_small
+from .families import canonical_form, corpus, enumerate_small
 from .globaldet import (
     IsoMap,
     Record,
@@ -46,7 +44,7 @@ from .globaldet import (
     verify_morphism,
     verify_statement_suite,
 )
-from .power import EpOrderCover, Power, cover_of, h_class_of_idempotent_singleton, h_class_of_left_zero_set
-from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, component_slice, decompose, id_set
+from .power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set
+from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, id_set_mask
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 A subsemigroup is breakable when every pair product is one of the two
 factors; the weaker triple condition allows one extra shape, a two-element
 group on top of the chain.  Both classes admit product-level
-characterizations that are scanned by brute force here.
+characterizations that are scanned by brute force here.  Subsets are int
+masks; :func:`enumerate_a2`, :func:`enumerate_a3` and :func:`structural_form`
+take or give :class:`~crglobal.core.Subset` for the library tour.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CayleyTable, Subset, bits, derived, green_relations, is_subsemigroup_mask, mask_of
-from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
+from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
 from .power import MAX_ORDER, Power, positions
 from .structure import decompose, id_set_mask
 
@@ -35,6 +37,7 @@ class BreakableForm:
 
 
 def satisfies_an_mask(s: CayleyTable, mask: int, n: int) -> bool:
+    """All length-``n`` products over the subset land among their own factors."""
     if not is_subsemigroup_mask(s, mask):
         raise NotSubsemigroupError("the product condition is defined for subsemigroups")
     t = s.table
@@ -52,11 +55,6 @@ def satisfies_an_mask(s: CayleyTable, mask: int, n: int) -> bool:
         return True
 
     return scan(0, 0, 0)
-
-
-def satisfies_an(s: CayleyTable, a: Subset, n: int) -> bool:
-    """All length-``n`` products over ``a`` land among their own factors."""
-    return satisfies_an_mask(s, a.mask, n)
 
 
 @derived
@@ -92,10 +90,6 @@ def enumerate_a3(s: CayleyTable) -> list[Subset]:
     return [Subset(s.order, m) for m in enumerate_a3_masks(s)]
 
 
-def enumerate_a2bar(s: CayleyTable) -> list[Subset]:
-    return [Subset(s.order, m) for m in enumerate_a2bar_masks(s)]
-
-
 def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
     """Chain-of-chunks shape of a subset satisfying the triple condition.
 
@@ -108,6 +102,8 @@ def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
     would lie in e's chunk, a contradiction.  The right zero case is dual,
     and only the top chunk may be neither.
     """
+    if a.n != s.order:
+        raise ParentMismatchError(f"subset of a size-{a.n} carrier given for an order-{s.order} table")
     am = a.mask
     if not (is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)):
         raise NotA3Error("structural form needs the triple-product condition")
@@ -136,36 +132,34 @@ def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
     return BreakableForm(tuple(Subset(s.order, m) for m in ordered), tuple(kinds))
 
 
-def a3_counterexample(p: Power, a: Subset) -> Subset | None:
+def a3_counterexample(p: Power, am: int) -> int | None:
     """First B with B*B = B*A = A but B != A, or None when A is rigid."""
-    am = a.mask
-    if not p.is_idempotent_mask(am):
+    if not p.is_idempotent_mask(p.check_mask(am)):
         raise NotIdempotentError("the rigidity scan applies to idempotent subsets")
     for bm in positions(p.squares(), am):
         if bm != am and p.product_mask(bm, am) == am:
-            return Subset(p.n, bm)
+            return bm
     return None
 
 
-def a3_characterization(p: Power, a: Subset) -> bool:
-    return a3_counterexample(p, a) is None
+def a3_characterization(p: Power, am: int) -> bool:
+    return a3_counterexample(p, am) is None
 
 
-def a2_counterexample(p: Power, a: Subset) -> Subset | None:
+def a2_counterexample(p: Power, am: int) -> int | None:
     """First B with A*S = B*S and B*A = A*B = A whose square moves, or None."""
-    am = a.mask
-    if not (is_subsemigroup_mask(p.base, am) and satisfies_an_mask(p.base, am, 3)):
+    if not (is_subsemigroup_mask(p.base, p.check_mask(am)) and satisfies_an_mask(p.base, am, 3)):
         raise NotA3Error("the idempotency scan applies below the triple-product class")
     ideals = p.right_ideals()
     squares = p.squares()
     for bm in positions(ideals, ideals[am]):
         if squares[bm] != bm and p.product_mask(bm, am) == am and p.product_mask(am, bm) == am:
-            return Subset(p.n, bm)
+            return bm
     return None
 
 
-def a2_characterization(p: Power, a: Subset) -> bool:
-    return a2_counterexample(p, a) is None
+def a2_characterization(p: Power, am: int) -> bool:
+    return a2_counterexample(p, am) is None
 
 
 def left_zero_subset_masks(s: CayleyTable) -> list[int]:

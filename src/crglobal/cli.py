@@ -17,11 +17,11 @@ from .breakable import (
     a3_characterization,
     enumerate_a2_masks,
     enumerate_a2bar_masks,
-    enumerate_a3_masks,
+    enumerate_a3,
     satisfies_an_mask,
     structural_form,
 )
-from .core import CayleyTable, Subset, bits, green_relations, idempotents, is_completely_regular, is_completely_simple, natural_order, validate_table
+from .core import CayleyTable, bits, green_relations, idempotents, is_completely_regular, is_completely_simple, natural_order, validate_table
 from .errors import FalsificationError, SemigroupError
 from .families import corpus
 from .globaldet import construct_eta, extract_theta, power_of, verify_statement_suite
@@ -36,7 +36,10 @@ def parse_table_text(text: str) -> CayleyTable:
     """JSON document or plain text: first line the order, then the rows."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise SemigroupError("the JSON document is nested too deeply") from None
         if "table" not in doc:
             raise SemigroupError("the JSON document has no 'table' key")
         s = validate_table(doc["table"], doc.get("labels"))
@@ -111,16 +114,17 @@ def cmd_breakable(args) -> int:
         raise SemigroupError("input is not completely regular")
     p = power_of(s)
     a2 = enumerate_a2_masks(s)
-    a3 = enumerate_a3_masks(s)
+    a3 = enumerate_a3(s)
     a2bar = enumerate_a2bar_masks(s)
     print(f"pair-condition subsemigroups: {len(a2)}")
     print(f"triple-condition subsemigroups: {len(a3)}")
     print(f"single-component pair-condition subsemigroups: {len(a2bar)}")
-    for am in a3:
-        form = structural_form(s, Subset(s.order, am))
+    for a in a3:
+        am = a.mask
+        form = structural_form(s, a)
         chunks = " < ".join(f"{_mask_str(s, c.mask)}:{k}" for c, k in zip(form.chunks, form.kinds))
-        scan2 = a2_characterization(p, Subset(s.order, am))
-        scan3 = a3_characterization(p, Subset(s.order, am))
+        scan2 = a2_characterization(p, am)
+        scan3 = a3_characterization(p, am)
         agree2 = scan2 == satisfies_an_mask(s, am, 2)
         tags = []
         tags.append("pair" if am in a2 else "triple-only")

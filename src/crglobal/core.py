@@ -2,7 +2,8 @@
 and the natural partial order.
 
 Elements are the indices 0..n-1; a semigroup is just its n x n product table.
-Subsets of the carrier are n-bit masks wrapped in :class:`Subset`.  Data
+Subsets of the carrier are n-bit int masks; :class:`Subset` pairs one with
+the carrier size where the library tour hands subsets to the user.  Data
 derived from a table is kept on the table instance, see :func:`derived`.
 """
 
@@ -42,9 +43,9 @@ class CayleyTable:
 class Subset:
     """Subset of a fixed carrier of size ``n``, stored as a bitmask.
 
-    Elements of a power semigroup are nonempty; a zero mask is allowed to
-    exist only as the empty-intersection sentinel returned by slicing
-    operations, and every product-level operation rejects it.
+    The library works on bare masks; a ``Subset`` is what ``enumerate_a2``,
+    ``enumerate_a3`` and ``Power.enumerate_ep`` return and what
+    ``structural_form`` takes and returns as chunks.
     """
 
     n: int

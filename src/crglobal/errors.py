@@ -28,7 +28,8 @@ class NotCompletelyRegularError(SemigroupError):
 
 
 class ParentMismatchError(SemigroupError):
-    """Subsets belong to carriers of different sizes."""
+    """A subset belongs to another carrier: the sizes differ, or the mask
+    has bits outside the carrier."""
 
 
 class EmptySubsetError(SemigroupError):

@@ -7,7 +7,6 @@ members, same names, same order on every run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -185,49 +184,6 @@ def strong_semilattice(
                 for z in range(components[b].order):
                     rows[offsets[a] + x][offsets[b] + z] = offsets[c] + components[c].table[ha[x]][hb[z]]
     return validate_table(rows)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative description of one constructor call.
-
-    kinds and params:
-      left-zero / right-zero / cyclic / chain: (n,)
-      klein: ()
-      rect-band: (p, q)
-      rees: (group_table, sandwich_rows)
-      strong-semilattice: (y_table, components, homs)
-      direct-product: (a_table, b_table)
-      explicit: (rows,) or (rows, labels)
-    """
-
-    kind: str
-    params: tuple = field(default=())
-
-
-_BUILDERS: dict[str, Callable[..., CayleyTable]] = {
-    "left-zero": left_zero,
-    "right-zero": right_zero,
-    "cyclic": cyclic_group,
-    "chain": chain_semilattice,
-    "klein": klein_four,
-    "rect-band": rect_band,
-    "rees": rees_matrix,
-    "strong-semilattice": strong_semilattice,
-    "direct-product": direct_product,
-    "adjoin-identity": adjoin_identity,
-    "explicit": lambda rows, labels=None: validate_table(rows, labels),
-}
-
-
-def build(spec: FamilySpec) -> CayleyTable:
-    builder = _BUILDERS.get(spec.kind)
-    if builder is None:
-        raise BadSpecError(f"unknown family kind {spec.kind!r}")
-    try:
-        return builder(*spec.params)
-    except (TypeError, ValueError) as exc:
-        raise BadSpecError(f"bad parameters for {spec.kind}: {exc}") from exc
 
 
 def _positive(n: int) -> None:

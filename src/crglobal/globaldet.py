@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .breakable import a3_counterexample, enumerate_a2_masks, enumerate_a2bar_masks, enumerate_a3_masks
-from .core import CayleyTable, Subset, bits, derived, green_relations, mask_of, natural_order
+from .core import CayleyTable, bits, derived, green_relations, mask_of, natural_order
 from .errors import (
     BlockSizeMismatchError,
     EtaNotMorphismError,
@@ -311,7 +311,7 @@ def extract_theta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
         raise ThetaNotSingletonError(f"component counts differ: {ka} vs {kb}")
     forward = []
     for alpha in range(ka):
-        img = psi_image_mask(psi, dec_a.components[alpha].mask)
+        img = psi_image_mask(psi, dec_a.components[alpha])
         ids = id_set_mask(img, dec_b)
         if len(ids) != 1:
             raise ThetaNotSingletonError(f"component {alpha} maps across {sorted(ids)}")
@@ -324,8 +324,8 @@ def extract_theta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
             if forward[ya[x][y]] != yb[forward[x]][forward[y]]:
                 raise ThetaNotSingletonError("component map is not a homomorphism")
     for alpha in range(ka):
-        amask = dec_a.components[alpha].mask
-        bmask = dec_b.components[forward[alpha]].mask
+        amask = dec_a.components[alpha]
+        bmask = dec_b.components[forward[alpha]]
         if amask.bit_count() != bmask.bit_count():
             raise ThetaNotSingletonError(f"components {alpha} and {forward[alpha]} have different sizes")
         images = set()
@@ -479,9 +479,7 @@ class SideData:
     def a3char_masks(self) -> list[int]:
         # idempotent subsets satisfying the square-and-absorb rigidity premise
         if self._a3char is None:
-            self._a3char = [
-                am for am in sorted(self.ep) if a3_counterexample(self.power, Subset(self.n, am)) is None
-            ]
+            self._a3char = [am for am in sorted(self.ep) if a3_counterexample(self.power, am) is None]
         return self._a3char
 
     def map_free_records(self) -> dict[str, Record]:
@@ -671,7 +669,6 @@ def _image_bijections(checks, sd: SideData, se: SideData, m) -> None:
 def _a3_shape_checks(checks, sd: SideData, prod) -> None:
     g = sd.green
     sq = sd.power.squares()
-    comp_masks = [c.mask for c in sd.dec.components]
     ck_id = checks["a3-local-identities"]
     ck_root = checks["a3-square-root-rigid"]
     ck_sup = checks["a3-square-support"]
@@ -692,7 +689,7 @@ def _a3_shape_checks(checks, sd: SideData, prod) -> None:
         # the subsets supported inside the support of A, ascending
         support = 0
         for alpha in ids_a:
-            support |= comp_masks[alpha]
+            support |= sd.dec.components[alpha]
         bm = 0
         while True:
             bm = (bm - support) & support
@@ -813,7 +810,6 @@ def _ideal_checks(checks, sd: SideData, se: SideData, m) -> None:
 
 def _ep_order_checks(checks, sd: SideData, prod) -> None:
     dec = sd.dec
-    comp_masks = [c.mask for c in dec.components]
     for am in sorted(sd.a2):
         ids_a = sd.idset(am)
         for bm in sorted(sd.ep):
@@ -823,7 +819,7 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
             shared = ids_a & ids_b
             for alpha in sorted(shared):
                 checks["ep-leq-slice-containment"].count(
-                    bm & comp_masks[alpha] & ~am == 0,
+                    bm & dec.components[alpha] & ~am == 0,
                     f"slice {alpha} of {bm:#x} leaves {am:#x}",
                 )
             if ids_b <= ids_a:
@@ -835,19 +831,19 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
                 max_in_b = not any(dec.lt(omega, y) for y in ids_b)
                 if max_in_a and max_in_b:
                     checks["ep-leq-top-slice"].count(
-                        bm & comp_masks[omega] == am & comp_masks[omega],
+                        bm & dec.components[omega] == am & dec.components[omega],
                         f"top slices at {omega} differ for {am:#x} <= {bm:#x}",
                     )
         if len(ids_a) >= 2:
             for alpha in sorted(ids_a):
                 if not any(dec.lt(alpha, y) for y in ids_a):
                     continue
-                for a in bits(am & comp_masks[alpha]):
+                for a in bits(am & dec.components[alpha]):
                     reduced = am & ~(1 << a)
                     ok = (
                         reduced in sd.a2
                         and sd.power.ep_lt_mask(am, reduced)
-                        and sd.power.covers(Subset(sd.n, am), Subset(sd.n, reduced), "ep")
+                        and sd.power.covers(am, reduced, "ep")
                     )
                     checks["drop-nonmaximal-covers"].count(
                         ok, f"dropping {a} from {am:#x} is not an immediate successor"
@@ -859,7 +855,7 @@ def _cs0_checks(checks, sd: SideData, se: SideData, m, theta: IsoMap) -> None:
     for alpha in range(sd.dec.count):
         if sd.dec.classification[alpha] != CS0:
             continue
-        target_mask = se.dec.components[theta.forward[alpha]].mask
+        target_mask = se.dec.components[theta.forward[alpha]]
         mapping = {}
         good = True
         for a in sd.dec.component_elements(alpha):
@@ -919,7 +915,7 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
         for beta in range(dec.count):
             if not dec.lt(beta, alpha):
                 continue
-            beta_mask = dec.components[beta].mask
+            beta_mask = dec.components[beta]
             for a in dec.component_elements(alpha):
                 img = m(1 << a)
                 for s_el in bits(img):
@@ -931,13 +927,13 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
                             lhs == rhs,
                             f"conjugates of {bm:#x} by preimage of {s_el} and by {a} differ",
                         )
-                for t_el in bits(se.dec.components[theta.forward[beta]].mask):
+                for t_el in bits(se.dec.components[theta.forward[beta]]):
                     sandwich = prod2(prod2(img, 1 << t_el), img)
                     ck_single.count(
                         sandwich.bit_count() == 1,
                         f"image of {a} against {t_el} gives {sandwich:#x}",
                     )
-            for s_el in bits(se.dec.components[theta.forward[alpha]].mask):
+            for s_el in bits(se.dec.components[theta.forward[alpha]]):
                 for b in dec.component_elements(beta):
                     sandwich = prod2(prod2(1 << s_el, m(1 << b)), 1 << s_el)
                     ck_single.count(
@@ -947,7 +943,7 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
     for alpha in sd.zero_components():
         rho_a = sd.rho(alpha)
         rho_b = se.rho(theta.forward[alpha])
-        comp_mask = dec.components[alpha].mask
+        comp_mask = dec.components[alpha]
         for a in dec.component_elements(alpha):
             block_mask = mask_of(rho_a.block_containing(a))
             for s_el in bits(m(1 << a)):
@@ -974,12 +970,12 @@ def _rho_checks(checks, sd: SideData, prod, t) -> None:
             for a in block:
                 for am in _submasks(block_mask):
                     for beta in below:
-                        for bm in _submasks(dec.components[beta].mask):
+                        for bm in _submasks(dec.components[beta]):
                             lhs = prod(prod(am, bm), am)
                             rhs = prod(prod(1 << a, bm), 1 << a)
                             ck_col.count(lhs == rhs, f"{am:#x}*{bm:#x}*{am:#x} != sandwich by {a}")
                     for gamma in above:
-                        for cm in _submasks(dec.components[gamma].mask):
+                        for cm in _submasks(dec.components[gamma]):
                             lhs = prod(prod(cm, am), cm)
                             rhs = prod(prod(cm, 1 << a), cm)
                             ck_col.count(lhs == rhs, f"{cm:#x}*{am:#x}*{cm:#x} != sandwich of {a}")

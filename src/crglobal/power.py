@@ -6,13 +6,14 @@ elements i of A.  The rows and the vectors of squares B*B, right ideals B*S
 and left ideals S*B are each built once per power semigroup, by doubling over
 the bits of B, and stored as compact arrays (order 12: 12 x 4096 entries).
 Each size bound is a module constant, checked where the structure it protects
-is built.  The order/cover/Green structure is computed on demand.
+is built.  The order/cover/Green structure is computed on demand.  Subsets
+are int masks throughout; only :meth:`Power.enumerate_ep` wraps them in
+:class:`~crglobal.core.Subset`.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from .core import CayleyTable, GreenData, Subset, bits, green_relations
 from .errors import (
@@ -32,19 +33,6 @@ MAX_ORDER = 16
 MAX_TABLE_SIZE = (1 << 11) - 1
 # base order up to which power_green runs green_relations on the power table
 MAX_GREEN_ORDER = 8
-
-
-@dataclass(frozen=True)
-class EpOrderCover:
-    """A validated covering pair in the idempotent-subset order.
-
-    ``lower < upper`` with nothing of the given kind strictly between; build
-    through :func:`cover_of`, which performs the betweenness scan.
-    """
-
-    lower: Subset
-    upper: Subset
-    kind: str
 
 
 class Power:
@@ -136,21 +124,17 @@ class Power:
             )
         return self._table
 
-    def _check(self, a: Subset) -> int:
-        if a.n != self.n:
-            raise ParentMismatchError(f"subset of size-{a.n} carrier in order-{self.n} power semigroup")
-        if a.mask == 0:
+    def check_mask(self, m: int) -> int:
+        """``m`` itself, once checked to be an element of the power semigroup:
+        the mask of a nonempty subset of the base."""
+        if m == 0:
             raise EmptySubsetError("the power semigroup contains only nonempty subsets")
-        return a.mask
-
-    def product(self, a: Subset, b: Subset) -> Subset:
-        return Subset(self.n, self.product_mask(self._check(a), self._check(b)))
+        if m < 0 or m > self.full_mask:
+            raise ParentMismatchError(f"mask {m:#x} is not a subset of the order-{self.n} carrier")
+        return m
 
     def is_idempotent_mask(self, m: int) -> bool:
         return self.product_mask(m, m) == m
-
-    def is_idempotent(self, a: Subset) -> bool:
-        return self.is_idempotent_mask(self._check(a))
 
     # -- idempotent subsets and their order --------------------------------
 
@@ -168,20 +152,16 @@ class Power:
             raise NotIdempotentError("the order is defined on idempotent subsets only")
         return self.product_mask(am, bm) == am and self.product_mask(bm, am) == am
 
-    def ep_leq(self, a: Subset, b: Subset) -> bool:
-        return self.ep_leq_mask(self._check(a), self._check(b))
-
     def ep_lt_mask(self, am: int, bm: int) -> bool:
         return am != bm and self.ep_leq_mask(am, bm)
 
-    def covers(self, a: Subset, b: Subset, kind: str = "ep") -> bool:
-        """True iff nothing of the given kind sits strictly between a and b.
+    def covers(self, am: int, bm: int, kind: str = "ep") -> bool:
+        """True iff nothing of the given kind sits strictly between A and B.
 
         kind: "ep" scans all idempotent subsets, "a2" the breakable
         subsemigroups, "a2bar" the breakable ones supported on one component.
         """
-        am, bm = self._check(a), self._check(b)
-        if not self.ep_lt_mask(am, bm):
+        if not self.ep_lt_mask(self.check_mask(am), self.check_mask(bm)):
             raise NotComparableError("cover checks need a strictly ordered pair")
         pool = self._cover_pool(kind)
         for cm in pool:
@@ -205,10 +185,6 @@ class Power:
 
     # -- one-sided ideals and Green structure ------------------------------
 
-    def right_ideal(self, a: Subset, adjoin: bool = False) -> Subset:
-        m = self.right_ideals()[self._check(a)]
-        return Subset(self.n, m | a.mask if adjoin else m)
-
     def l_ideal_set(self, m: int) -> frozenset[int]:
         """All subsets of the form X*A together with A itself."""
         hit = self._lideal.get(m)
@@ -226,20 +202,20 @@ class Power:
             self._rideal[m] = hit
         return hit
 
-    def h_class(self, a: Subset) -> list[Subset]:
-        """H-class of ``a`` in the power semigroup, by one-sided ideal equality.
+    def h_class(self, am: int) -> list[int]:
+        """H-class of A in the power semigroup, by one-sided ideal equality.
 
         Candidates share both A*S and S*A with A: B = A*X gives B*S inside
         A*S, so R-related subsets have one right ideal B*S, and dually for
         L.  This holds over any base semigroup.
         """
-        am = self._check(a)
+        self.check_mask(am)
         left, right = self.left_ideals(), self.right_ideals()
         same_left = set(positions(left, left[am]))
         my_l = self.l_ideal_set(am)
         my_r = self.r_ideal_set(am)
         return [
-            Subset(self.n, m)
+            m
             for m in positions(right, right[am])
             if m in same_left and self.l_ideal_set(m) == my_l and self.r_ideal_set(m) == my_r
         ]
@@ -263,29 +239,19 @@ def positions(vector: array, value: int):
         yield i
 
 
-def cover_of(p: Power, lower: Subset, upper: Subset, kind: str = "ep") -> EpOrderCover:
-    """Validate and package a covering pair; raises when something intervenes."""
-    if not p.covers(lower, upper, kind):
-        raise NotComparableError(f"{lower!r} < {upper!r} has an intermediate element of kind {kind!r}")
-    return EpOrderCover(lower, upper, kind)
-
-
-def h_class_of_idempotent_singleton(p: Power, e: int) -> list[Subset]:
+def h_class_of_idempotent_singleton(p: Power, e: int) -> list[int]:
     """H-class of the singleton {e} in the power semigroup, e idempotent."""
     if p.base.table[e][e] != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
-    return p.h_class(Subset.singleton(p.n, e))
+    return p.h_class(1 << e)
 
 
-def h_class_of_left_zero_set(p: Power, e_set: Subset) -> list[Subset]:
-    """H-class of a left zero subsemigroup in the power semigroup."""
-    if e_set.n != p.n:
-        raise ParentMismatchError("subset belongs to a different carrier")
-    if e_set.is_empty:
-        raise EmptySubsetError("need a nonempty left zero subsemigroup")
+def h_class_of_left_zero_set(p: Power, em: int) -> list[int]:
+    """H-class of a left zero subsemigroup E in the power semigroup."""
+    p.check_mask(em)
     t = p.base.table
-    for i in bits(e_set.mask):
-        for j in bits(e_set.mask):
+    for i in bits(em):
+        for j in bits(em):
             if t[i][j] != i:
                 raise NotLeftZeroError(f"{i}*{j}={t[i][j]}, so the subset is not left zero")
-    return p.h_class(e_set)
+    return p.h_class(em)

@@ -2,14 +2,15 @@
 
 The D-classes of a completely regular semigroup are completely simple, and
 the quotient by D is a semilattice; the decomposition records both, plus a
-kind tag per component (left zero / right zero / neither).
+kind tag per component (left zero / right zero / neither).  Components and
+supports are int masks over the carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable, Subset, bits, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, restrict
+from .core import CayleyTable, bits, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, mask_of, restrict
 from .errors import DecompositionError, EmptySubsetError, NotCompletelyRegularError, ParentMismatchError
 
 LEFT_ZERO = "left-zero"
@@ -22,7 +23,7 @@ class Decomposition:
     base: CayleyTable
     semilattice: CayleyTable
     component_of: tuple[int, ...]
-    components: tuple[Subset, ...]
+    components: tuple[int, ...]
     classification: tuple[str, ...]
 
     @property
@@ -30,7 +31,7 @@ class Decomposition:
         return self.semilattice.order
 
     def component_elements(self, alpha: int) -> tuple[int, ...]:
-        return self.components[alpha].elements()
+        return tuple(bits(self.components[alpha]))
 
     def leq(self, alpha: int, beta: int) -> bool:
         """alpha <= beta in the structure semilattice."""
@@ -55,7 +56,7 @@ def decompose(s: CayleyTable) -> Decomposition:
     component_of = [0] * n
     comps = []
     for cid, elems in enumerate(ordered):
-        comps.append(Subset.of(n, elems))
+        comps.append(mask_of(elems))
         for a in elems:
             component_of[a] = cid
     reps = [min(elems) for elems in ordered]
@@ -93,24 +94,13 @@ def _check_semilattice(y: CayleyTable) -> None:
                 raise DecompositionError("quotient is not commutative")
 
 
-def id_set(a: Subset, dec: Decomposition) -> frozenset[int]:
-    """Components meeting ``a``: the support of the subset in the semilattice."""
-    if a.n != dec.base.order:
-        raise ParentMismatchError(f"subset of size-{a.n} carrier against order-{dec.base.order} semigroup")
-    return id_set_mask(a.mask, dec)
-
-
 def id_set_mask(mask: int, dec: Decomposition) -> frozenset[int]:
+    """Components meeting the subset: its support in the semilattice."""
     if mask == 0:
         raise EmptySubsetError("support of the empty subset is undefined")
+    if mask >> dec.base.order:
+        raise ParentMismatchError(f"mask {mask:#x} is not a subset of the order-{dec.base.order} carrier")
     return frozenset({dec.component_of[e] for e in bits(mask)})
-
-
-def component_slice(a: Subset, dec: Decomposition, alpha: int) -> Subset:
-    """Intersection with component ``alpha``; may be the empty sentinel."""
-    if a.n != dec.base.order:
-        raise ParentMismatchError(f"subset of size-{a.n} carrier against order-{dec.base.order} semigroup")
-    return Subset(a.n, a.mask & dec.components[alpha].mask)
 
 
 def idset_product(dec: Decomposition, xs: frozenset[int], ys: frozenset[int]) -> frozenset[int]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .breakable import (
     a2_characterization,
     a3_characterization,
+    enumerate_a3,
     enumerate_a3_masks,
     left_zero_subset_masks,
     satisfies_an_mask,
@@ -22,7 +23,6 @@ from .breakable import (
 )
 from .core import (
     CayleyTable,
-    Subset,
     bits,
     green_relations,
     is_completely_regular,
@@ -100,7 +100,7 @@ def _a3_problems(s: CayleyTable):
     a3 = set(enumerate_a3_masks(s))
     for am in p.idempotent_masks():
         direct = is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)
-        if direct != a3_characterization(p, Subset(s.order, am)):
+        if direct != a3_characterization(p, am):
             yield f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
         elif direct != (am in a3):
             yield f"subset {am:#x}: enumeration disagrees with the direct check"
@@ -118,7 +118,7 @@ def _a2_problems(s: CayleyTable):
     p = power_of(s)
     for am in enumerate_a3_masks(s):
         direct = satisfies_an_mask(s, am, 2)
-        if direct != a2_characterization(p, Subset(s.order, am)):
+        if direct != a2_characterization(p, am):
             yield f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
         else:
             yield None
@@ -131,10 +131,10 @@ def check_structural_forms(members) -> list[Record]:
 
 
 def _form_problems(s: CayleyTable):
-    for am in enumerate_a3_masks(s):
-        form = structural_form(s, Subset(s.order, am))
-        problem = _form_problem(s.table, am, form, satisfies_an_mask(s, am, 2))
-        yield f"subset {am:#x}: {problem}" if problem else None
+    for a in enumerate_a3(s):
+        form = structural_form(s, a)
+        problem = _form_problem(s.table, a.mask, form, satisfies_an_mask(s, a.mask, 2))
+        yield f"subset {a.mask:#x}: {problem}" if problem else None
 
 
 def _form_problem(t, am: int, form, breakable: bool) -> str | None:
@@ -189,11 +189,11 @@ def _h_class_problems(s: CayleyTable):
     for e in range(s.order):
         if s.table[e][e] != e:
             continue
-        got = {sub.mask for sub in h_class_of_idempotent_singleton(p, e)}
+        got = set(h_class_of_idempotent_singleton(p, e))
         want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
         yield None if got == want else f"singleton {{{e}}}: got {sorted(got)}, expected {sorted(want)}"
     for em in left_zero_subset_masks(s):
-        got = {sub.mask for sub in h_class_of_left_zero_set(p, Subset(s.order, em))}
+        got = set(h_class_of_left_zero_set(p, em))
         translates = [
             {p.product_mask(em, 1 << a) for a in range(s.order) if g.hclass[a] == g.hclass[e]} for e in bits(em)
         ]

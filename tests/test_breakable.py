@@ -15,27 +15,27 @@ from crglobal.breakable import (
     enumerate_a2bar_masks,
     enumerate_a3_masks,
     left_zero_subset_masks,
-    satisfies_an,
+    satisfies_an_mask,
     structural_form,
 )
 from crglobal.core import CayleyTable, Subset
-from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
+from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
 from crglobal.globaldet import power_of, side_data
 
 
 def test_satisfies_an_examples():
     z2 = families.cyclic_group(2)
-    assert satisfies_an(z2, Subset.full(2), 3)
-    assert not satisfies_an(z2, Subset.full(2), 2)
+    assert satisfies_an_mask(z2, 0b11, 3)
+    assert not satisfies_an_mask(z2, 0b11, 2)
     z3 = families.cyclic_group(3)
-    assert not satisfies_an(z3, Subset.full(3), 3)
+    assert not satisfies_an_mask(z3, 0b111, 3)
     l3 = families.left_zero(3)
-    assert satisfies_an(l3, Subset.of(3, [0, 2]), 2)
+    assert satisfies_an_mask(l3, 0b101, 2)
 
 
 def test_satisfies_an_requires_closure():
     with pytest.raises(NotSubsemigroupError):
-        satisfies_an(families.cyclic_group(2), Subset.singleton(2, 1), 2)
+        satisfies_an_mask(families.cyclic_group(2), 0b10, 2)
 
 
 def test_enumerate_counts(named):
@@ -108,6 +108,15 @@ def test_structural_form_rejects_non_a3():
         structural_form(families.cyclic_group(3), Subset.full(3))
 
 
+def test_structural_form_refuses_subsets_of_other_carriers():
+    # a larger carrier would index past the table, a smaller one names
+    # different elements
+    z2 = families.cyclic_group(2)
+    for a in (Subset.full(3), Subset.of(1, [0])):
+        with pytest.raises(ParentMismatchError):
+            structural_form(z2, a)
+
+
 def test_structural_form_group_top_only_without_pair_condition(cr6):
     for name, s in cr6:
         a2 = set(enumerate_a2_masks(s))
@@ -132,46 +141,44 @@ def test_structural_form_matches_chunk_oracle(corpus_members):
 
 def test_a3_characterization_examples():
     z2 = families.cyclic_group(2)
-    assert a3_characterization(power_of(z2), Subset.full(2))
+    assert a3_characterization(power_of(z2), 0b11)
     z3 = families.cyclic_group(3)
-    witness = a3_counterexample(power_of(z3), Subset.full(3))
+    witness = a3_counterexample(power_of(z3), 0b111)
     p = power_of(z3)
-    assert witness is not None and witness.mask != 0b111
-    assert p.product_mask(witness.mask, witness.mask) == 0b111
-    assert p.product_mask(witness.mask, 0b111) == 0b111
-    assert a3_characterization(power_of(z2), Subset.singleton(2, 0))
+    assert witness is not None and witness != 0b111
+    assert p.product_mask(witness, witness) == 0b111
+    assert p.product_mask(witness, 0b111) == 0b111
+    assert a3_characterization(power_of(z2), 0b01)
     with pytest.raises(NotIdempotentError):
-        a3_characterization(power_of(z2), Subset.singleton(2, 1))
+        a3_characterization(power_of(z2), 0b10)
 
 
 def test_a2_characterization_examples(named):
     c3 = named["clifford-3"]
     p = power_of(c3)
-    assert not a2_characterization(p, Subset.full(3))
-    witness = a2_counterexample(p, Subset.full(3))
-    assert p.product_mask(witness.mask, witness.mask) != witness.mask
-    assert a2_characterization(p, Subset.of(3, [0, 1]))
-    assert a2_characterization(p, Subset.singleton(3, 0))
+    assert not a2_characterization(p, 0b111)
+    witness = a2_counterexample(p, 0b111)
+    assert p.product_mask(witness, witness) != witness
+    assert a2_characterization(p, 0b011)
+    assert a2_characterization(p, 0b001)
     with pytest.raises(NotA3Error):
-        a2_characterization(p, Subset.of(3, [0, 2]))
+        a2_characterization(p, 0b101)
 
 
 def test_characterizations_match_direct_conditions(cr5):
-    from crglobal.breakable import satisfies_an_mask
     from crglobal.core import is_subsemigroup_mask
 
     for name, s in cr5:
         p = power_of(s)
         for am in p.idempotent_masks():
             direct3 = is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)
-            assert a3_characterization(p, Subset(s.order, am)) == direct3, (name, am)
+            assert a3_characterization(p, am) == direct3, (name, am)
             if direct3:
                 direct2 = satisfies_an_mask(s, am, 2)
-                assert a2_characterization(p, Subset(s.order, am)) == direct2, (name, am)
+                assert a2_characterization(p, am) == direct2, (name, am)
 
 
 def test_even_condition_implies_pair_and_odd_implies_triple(cr4):
-    from crglobal.breakable import satisfies_an_mask
     from crglobal.core import is_subsemigroup_mask
 
     for name, s in cr4:

@@ -94,6 +94,7 @@ def assert_one_line_error(capsys):
         '{"table": [[0]], "order": "1"}',
         '{"table": [[0, 1], [1, 0]], "labels": ["a", "a"]}',
         '{"order": 1}',
+        pytest.param('{"table": ' + "[" * 200_000 + "]" * 200_000 + "}", id="deeply-nested"),
         "2 junk\n0 0\n1 1\n",
     ],
 )
@@ -185,6 +186,46 @@ def test_verify_injection_fails(capsys, monkeypatch):
     bad = [json.loads(line) for line in out.strip().splitlines() if not json.loads(line)["ok"]]
     assert bad and all(rec["witness"] for rec in bad)
     assert hashlib.sha256(out.encode()).hexdigest() == INJECTED_QUICK_DIGEST
+
+
+# same-order pairs given to `globaliso`: self pairs with left zero, group and
+# rectangular band components, one labelled, and one pair with no subset
+# isomorphism
+GLOBALISO_PAIRS = [
+    ("left-zero-3", "left-zero-3"),
+    ("lz2-over-zero", "point-over-lz2"),
+    ("rect-band-2-2", "rect-band-2-2"),
+    ("z2-over-lz2", "z2-over-lz2"),
+    ("lz3-monoid", "lz3-monoid"),
+    ("rb22-over-zero", "rb22-over-zero"),
+]
+
+# sha256 of the CLI's stdout, each run headed by its arguments and exit code:
+# `analyze` and `breakable` over every completely regular corpus member of
+# order <= 6, `globaliso` over GLOBALISO_PAIRS; a change that alters the output
+# on purpose updates these digests and says so in CHANGES.md
+CLI_DIGESTS = {
+    "analyze": "10daa7d7007e99b9b3adc4db388a504eadee33ab37303bb09a719a8397cc09f8",
+    "breakable": "8d6a8362ac5d532db7ca7facb79cd0b294a7ca3d48ccc7163cd3dc880877d906",
+    "globaliso": "cf5220789202d357fb50126c482e68e6d75f0ab5573cdb1d055da16862cb60b0",
+}
+
+
+def test_cli_stdout_digests(tmp_path, capsys, cr6):
+    paths = {}
+    for name, s in cr6:
+        paths[name] = write(tmp_path, f"{name}.json", table_to_json(name, s))
+    runs = {
+        "analyze": [[name] for name in paths],
+        "breakable": [[name] for name in paths],
+        "globaliso": [list(pair) for pair in GLOBALISO_PAIRS],
+    }
+    for command, arg_lists in runs.items():
+        out = []
+        for names in arg_lists:
+            code = main([command] + [paths[name] for name in names])
+            out.append(f"{command} {' '.join(names)} -> {code}\n{capsys.readouterr().out}")
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == CLI_DIGESTS[command], command
 
 
 def test_corpus_export_round_trip(tmp_path, capsys):

@@ -7,8 +7,6 @@ from crglobal import families
 from crglobal.core import green_relations, is_completely_regular, is_completely_simple, is_left_zero, restrict, validate_table
 from crglobal.errors import BadSpecError, OrderTooLargeError
 from crglobal.families import (
-    FamilySpec,
-    build,
     canonical_form,
     chain_semilattice,
     corpus,
@@ -127,14 +125,20 @@ def test_direct_product_preserves_regularity(cr4):
         assert is_completely_regular(direct_product(a, b))
 
 
-def test_build_dispatch():
-    assert build(FamilySpec("left-zero", (3,))).table == left_zero(3).table
-    assert build(FamilySpec("klein")).order == 4
-    assert build(FamilySpec("explicit", ([[0]],))).order == 1
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: left_zero(0),
+        lambda: families.right_zero(0),
+        lambda: cyclic_group(0),
+        lambda: chain_semilattice(-1),
+        lambda: rect_band(2, 0),
+        lambda: enumerate_small(0),
+    ],
+)
+def test_constructors_reject_nonpositive_sizes(make):
     with pytest.raises(BadSpecError):
-        build(FamilySpec("mystery"))
-    with pytest.raises(BadSpecError):
-        build(FamilySpec("left-zero", (0,)))
+        make()
 
 
 def test_enumerate_small_counts():

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from crglobal import families
-from crglobal.core import Subset, is_left_zero, is_right_zero, is_completely_simple, restrict, validate_table
+from crglobal.core import is_left_zero, is_right_zero, is_completely_simple, restrict, validate_table
 from crglobal.errors import EmptySubsetError, NotCompletelyRegularError, ParentMismatchError
-from crglobal.structure import CS0, LEFT_ZERO, component_slice, decompose, id_set, id_set_mask, idset_product
+from crglobal.structure import CS0, LEFT_ZERO, decompose, id_set_mask, idset_product
 from crglobal.globaldet import power_of
 
 
 def test_decompose_clifford(named):
     dec = decompose(named["clifford-3"])
     assert dec.count == 2
-    assert dec.components == (Subset.of(3, [0]), Subset.of(3, [1, 2]))
+    assert dec.components == (0b001, 0b110)
     assert dec.classification == (LEFT_ZERO, CS0)
     assert dec.semilattice.table == ((0, 0), (0, 1))
 
@@ -42,22 +42,15 @@ def test_singleton_components_tagged_left_zero():
 def test_id_set_examples(named):
     c3 = named["clifford-3"]
     dec = decompose(c3)
-    assert id_set(Subset.of(3, [0, 1]), dec) == frozenset({0, 1})
-    assert id_set(Subset.full(3), dec) == frozenset({0, 1})
-    assert id_set(Subset.singleton(3, 2), dec) == frozenset({1})
+    assert id_set_mask(0b011, dec) == frozenset({0, 1})
+    assert id_set_mask(0b111, dec) == frozenset({0, 1})
+    assert id_set_mask(0b100, dec) == frozenset({1})
     with pytest.raises(EmptySubsetError):
-        id_set(Subset(3, 0), dec)
+        id_set_mask(0, dec)
     with pytest.raises(ParentMismatchError):
-        id_set(Subset.full(4), dec)
-
-
-def test_component_slice_examples(named):
-    c3 = named["clifford-3"]
-    dec = decompose(c3)
-    assert component_slice(Subset.of(3, [0, 1]), dec, 1) == Subset.of(3, [1])
-    assert component_slice(Subset.of(3, [1, 2]), dec, 1) == Subset.of(3, [1, 2])
-    empty = component_slice(Subset.singleton(3, 0), dec, 1)
-    assert empty.is_empty
+        id_set_mask(0b1111, dec)
+    with pytest.raises(ParentMismatchError):
+        id_set_mask(-1, dec)
 
 
 def test_components_are_completely_simple_and_cs0_is_neither_zero(cr6):
