@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 
 from .breakable import (
@@ -26,7 +27,7 @@ from .errors import FalsificationError, SemigroupError
 from .families import corpus
 from .globaldet import construct_eta, extract_theta, power_of, verify_statement_suite
 from .structure import decompose
-from .verify import records_to_json_lines, run_all, summarize
+from .verify import collect_psis, records_to_json_lines, run_all, summarize
 
 ENV_MAX_ORDER = "CRGLOBAL_MAX_ORDER"
 ENV_INJECT = "CRGLOBAL_INJECT"
@@ -45,16 +46,16 @@ def parse_table_text(text: str) -> CayleyTable:
         s = validate_table(doc["table"], doc.get("labels"))
         order = doc.get("order", s.order)
         if not isinstance(order, int) or isinstance(order, bool):
-            raise SemigroupError(f"header order must be an integer, got {order!r}")
+            raise SemigroupError(f"header order must be an integer, got {reprlib.repr(order)}")
         if order != s.order:
-            raise SemigroupError(f"header order {order!r} does not match a table of {s.order} rows")
+            raise SemigroupError(f"header order {reprlib.repr(order)} does not match a table of {s.order} rows")
         return s
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SemigroupError("empty table")
     header = lines[0].split()
     if len(header) != 1:
-        raise SemigroupError(f"the first line must be the order alone, got {lines[0].strip()!r}")
+        raise SemigroupError(f"the first line must be the order alone, got {reprlib.repr(lines[0].strip())}")
     n = int(header[0])
     rows = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
     if len(rows) != n:
@@ -143,8 +144,6 @@ def cmd_globaliso(args) -> int:
             raise SemigroupError("both inputs must be completely regular")
         if t.order > args.max_order:
             raise SemigroupError(f"order {t.order} exceeds --max-order {args.max_order}")
-    from .verify import collect_psis
-
     psis = collect_psis(s, s2, args.limit)
     if not psis:
         print("no power-semigroup isomorphism found")
@@ -202,7 +201,7 @@ def _env_max_order(default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SemigroupError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from None
+        raise SemigroupError(f"{ENV_MAX_ORDER} must be an integer, got {reprlib.repr(raw)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

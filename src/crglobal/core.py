@@ -19,7 +19,6 @@ from .errors import (
     NotAssociativeError,
     NotCompletelyRegularError,
     NotSubsemigroupError,
-    ParentMismatchError,
     TableShapeError,
 )
 
@@ -72,32 +71,8 @@ class Subset:
     def full(cls, n: int) -> "Subset":
         return cls(n, (1 << n) - 1)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def elements(self) -> tuple[int, ...]:
         return tuple(bits(self.mask))
-
-    def __contains__(self, element: int) -> bool:
-        return bool((self.mask >> element) & 1)
-
-    def __or__(self, other: "Subset") -> "Subset":
-        if self.n != other.n:
-            raise ParentMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
-        return Subset(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        if self.n != other.n:
-            raise ParentMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
-        return Subset(self.n, self.mask & other.mask)
-
-    def __le__(self, other: "Subset") -> bool:
-        return self.n == other.n and self.mask | other.mask == other.mask
 
     def __repr__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements()) + "}"
@@ -203,7 +178,8 @@ def _number_classes(keys: list) -> tuple[int, ...]:
 
 @derived
 def green_relations(s: CayleyTable) -> GreenData:
-    """L/R/H/D classes by principal-ideal equality, plus per-element group data.
+    """L/R/H classes by principal-ideal equality, D as L∘R, plus per-element
+    group data.
 
     ``local_identity``/``local_inverse`` are filled exactly for the elements
     whose H-class is a group (detected by a*a staying H-related to a).
@@ -216,28 +192,12 @@ def green_relations(s: CayleyTable) -> GreenData:
     lclass = _number_classes(lideal)
     rclass = _number_classes(rideal)
     hclass = _number_classes(list(zip(lclass, rclass)))
-
-    parent = list(rng)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    by_class: dict[tuple[str, int], int] = {}
+    # a D b iff a L c R b for some c: the D-class of a is the union of the
+    # R-classes that meet the L-class of a
+    r_meeting: dict[int, set[int]] = {}
     for a in rng:
-        for tag, cls in (("L", lclass[a]), ("R", rclass[a])):
-            if (tag, cls) in by_class:
-                union(by_class[(tag, cls)], a)
-            else:
-                by_class[(tag, cls)] = a
-    dclass = _number_classes([find(a) for a in rng])
+        r_meeting.setdefault(lclass[a], set()).add(rclass[a])
+    dclass = _number_classes([frozenset(r_meeting[lclass[a]]) for a in rng])
 
     idem = tuple(t[a][a] == a for a in rng)
     local_identity: list[int | None] = [None] * n

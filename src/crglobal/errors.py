@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import reprlib
+
 
 class SemigroupError(Exception):
     """Base class for every error raised by this package."""
@@ -11,7 +13,7 @@ class TableShapeError(SemigroupError):
 
 class EntryOutOfRangeError(SemigroupError):
     def __init__(self, row: int, col: int, value: object, order: int):
-        super().__init__(f"entry at ({row},{col}) is {value!r}, expected 0..{order - 1}")
+        super().__init__(f"entry at ({row},{col}) is {reprlib.repr(value)}, expected 0..{order - 1}")
         self.row = row
         self.col = col
         self.value = value

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import CayleyTable, validate_table
 from .errors import BadSpecError, OrderTooLargeError
@@ -205,7 +205,7 @@ def canonical_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]
     return best
 
 
-def enumerate_small(n: int, filt: Callable[[CayleyTable], bool] | None = None) -> list[CayleyTable]:
+def enumerate_small(n: int) -> list[CayleyTable]:
     """Every semigroup of order ``n`` <= 3, one table per isomorphism class.
 
     Backtracking: the table is filled cell by cell in row-major order, and a
@@ -249,10 +249,7 @@ def enumerate_small(n: int, filt: Callable[[CayleyTable], bool] | None = None) -
         row[cell % n] = None
 
     fill(0)
-    out = [CayleyTable(n, rows) for rows in sorted(seen)]
-    if filt is not None:
-        out = [s for s in out if filt(s)]
-    return out
+    return [CayleyTable(n, rows) for rows in sorted(seen)]
 
 
 def _collapse_hom(src: CayleyTable, target_element: int) -> tuple[int, ...]:

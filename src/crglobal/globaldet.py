@@ -166,13 +166,11 @@ def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]
         count = new_count
 
 
-def find_isomorphisms(
-    a: CayleyTable,
-    b: CayleyTable,
-    limit: int = 8,
-    max_nodes: int = 2_000_000,
-    kind: str = "elements",
-) -> list[IsoMap]:
+# search nodes one call may expand before it raises instead of answering
+MAX_NODES = 2_000_000
+
+
+def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str = "elements") -> list[IsoMap]:
     """Up to ``limit`` isomorphisms from ``a`` onto ``b``, by backtracking.
 
     Candidates are pruned by joint colour refinement, which tells elements
@@ -182,7 +180,7 @@ def find_isomorphisms(
     product against the trail of elements already assigned, so the search
     completes quickly on the sizes handled here.  An exhausted search
     returning no map means the tables are not isomorphic; running out of
-    ``max_nodes`` raises instead, and so does a result that fails
+    ``MAX_NODES`` raises instead, and so does a result that fails
     verification.
     """
     if limit < 1:
@@ -240,7 +238,7 @@ def find_isomorphisms(
         mark = len(trail)
         for j in best:
             nodes += 1
-            if nodes > max_nodes:
+            if nodes > MAX_NODES:
                 raise SearchBudgetExceededError(nodes, n, kind)
             if assign(best_i, j):
                 dfs()
@@ -316,13 +314,8 @@ def extract_theta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
         if len(ids) != 1:
             raise ThetaNotSingletonError(f"component {alpha} maps across {sorted(ids)}")
         forward.append(next(iter(ids)))
-    if sorted(forward) != list(range(kb)):
-        raise ThetaNotSingletonError("component map is not a bijection")
-    ya, yb = dec_a.semilattice.table, dec_b.semilattice.table
-    for x in range(ka):
-        for y in range(ka):
-            if forward[ya[x][y]] != yb[forward[x]][forward[y]]:
-                raise ThetaNotSingletonError("component map is not a homomorphism")
+    if not verify_morphism(dec_a.semilattice, dec_b.semilattice, forward):
+        raise ThetaNotSingletonError("component map is not a semilattice isomorphism")
     for alpha in range(ka):
         amask = dec_a.components[alpha]
         bmask = dec_b.components[forward[alpha]]
@@ -362,32 +355,39 @@ class RhoPartition:
         return None
 
 
+@derived
+def _sandwich_partitions(s: CayleyTable) -> dict[int, RhoPartition]:
+    """The sandwich partition of each left or right zero component of ``s``."""
+    dec = decompose(s)
+    maximal = natural_order(s).maximal
+    t = s.table
+    k = dec.count
+    out = {}
+    for alpha in range(k):
+        if dec.classification[alpha] not in (LEFT_ZERO, RIGHT_ZERO):
+            continue
+        lower = [b for beta in range(k) if dec.lt(beta, alpha) for b in dec.component_elements(beta)]
+        upper = [c for gamma in range(k) if dec.lt(alpha, gamma) for c in dec.component_elements(gamma)]
+        elems = dec.component_elements(alpha)
+        groups: dict = {}
+        blocks: list[tuple[int, ...]] = []
+        for a in elems:
+            if maximal[a]:
+                key = (tuple(t[t[a][b]][a] for b in lower), tuple(t[t[c][a]][c] for c in upper))
+                groups.setdefault(key, []).append(a)
+            else:
+                blocks.append((a,))
+        blocks.extend(tuple(v) for v in groups.values())
+        blocks.sort(key=lambda blk: blk[0])
+        out[alpha] = RhoPartition(alpha, tuple(blocks), tuple(maximal[a] for a in elems))
+    return out
+
+
 def rho_partition(dec: Decomposition, alpha: int) -> RhoPartition:
     tag = dec.classification[alpha]
     if tag not in (LEFT_ZERO, RIGHT_ZERO):
         raise WrongComponentKindError(f"component {alpha} is {tag}, need a left or right zero component")
-    order = natural_order(dec.base)
-    t = dec.base.table
-    k = dec.count
-    below = [b for b in range(k) if dec.lt(b, alpha)]
-    above = [g for g in range(k) if dec.lt(alpha, g)]
-    elems = dec.component_elements(alpha)
-
-    def sandwich_key(a: int):
-        lower = tuple(t[t[a][b]][a] for beta in below for b in dec.component_elements(beta))
-        upper = tuple(t[t[c][a]][c] for gamma in above for c in dec.component_elements(gamma))
-        return (lower, upper)
-
-    groups: dict = {}
-    blocks: list[tuple[int, ...]] = []
-    for a in elems:
-        if order.maximal[a]:
-            groups.setdefault(sandwich_key(a), []).append(a)
-        else:
-            blocks.append((a,))
-    blocks.extend(tuple(v) for v in groups.values())
-    blocks.sort(key=lambda blk: blk[0])
-    return RhoPartition(alpha, tuple(blocks), tuple(order.maximal[a] for a in elems))
+    return _sandwich_partitions(dec.base)[alpha]
 
 
 # -- the element map ----------------------------------------------------------
@@ -403,9 +403,8 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
     ascending element order, which keeps the output deterministic.
     """
     theta = extract_theta(psi, dec_a, dec_b)
-    na, nb = dec_a.base.order, dec_b.base.order
     order_a = natural_order(dec_a.base)
-    eta = [-1] * na
+    eta = [-1] * dec_a.base.order
     for alpha in range(dec_a.count):
         beta = theta.forward[alpha]
         if dec_a.classification[alpha] == CS0:
@@ -436,13 +435,8 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
                     )
                 for x, y in zip(sorted(block), sorted(target)):
                     eta[x] = y
-    if sorted(eta) != list(range(nb)):
-        raise EtaNotMorphismError("constructed map is not a bijection")
-    ta, tb = dec_a.base.table, dec_b.base.table
-    for x in range(na):
-        for y in range(na):
-            if eta[ta[x][y]] != tb[eta[x]][eta[y]]:
-                raise EtaNotMorphismError(f"product mismatch at ({x},{y})")
+    if not verify_morphism(dec_a.base, dec_b.base, eta):
+        raise EtaNotMorphismError("constructed map is not an isomorphism")
     return IsoMap("elements", tuple(eta), _invert(eta), verified=True)
 
 
@@ -450,7 +444,8 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
 
 
 class SideData:
-    """Cached analysis of one completely regular semigroup."""
+    """Analysis of one completely regular semigroup, built once per table by
+    :func:`side_data`."""
 
     def __init__(self, table: CayleyTable):
         self.table = table
@@ -464,37 +459,9 @@ class SideData:
         self.a2 = set(enumerate_a2_masks(table))
         self.a3 = set(enumerate_a3_masks(table))
         self.a2bar = set(enumerate_a2bar_masks(table))
-        self._rho: dict[int, RhoPartition] = {}
-        self._a3char: list[int] | None = None
-        self._map_free: dict[str, Record] | None = None
 
     def idset(self, mask: int) -> frozenset[int]:
         return id_set_mask(mask, self.dec)
-
-    def rho(self, alpha: int) -> RhoPartition:
-        if alpha not in self._rho:
-            self._rho[alpha] = rho_partition(self.dec, alpha)
-        return self._rho[alpha]
-
-    def a3char_masks(self) -> list[int]:
-        # idempotent subsets satisfying the square-and-absorb rigidity premise
-        if self._a3char is None:
-            self._a3char = [am for am in sorted(self.ep) if a3_counterexample(self.power, am) is None]
-        return self._a3char
-
-    def map_free_records(self) -> dict[str, Record]:
-        """Records of the statements that never read the subset map, checked
-        once per semigroup and shared by every suite run with it as source."""
-        if self._map_free is None:
-            checks = {name: _Check(name) for name in MAP_FREE_IDS}
-            prod = self.power.product_mask
-            _a3_shape_checks(checks, self, prod)
-            _rigidity_checks(checks, self)
-            _power_green_checks(checks, self)
-            _ep_order_checks(checks, self, prod)
-            _rho_checks(checks, self, prod, self.table.table)
-            self._map_free = {name: ck.record() for name, ck in checks.items()}
-        return self._map_free
 
     def zero_components(self) -> list[int]:
         return [c for c in range(self.dec.count) if self.dec.classification[c] in (LEFT_ZERO, RIGHT_ZERO)]
@@ -503,6 +470,21 @@ class SideData:
 @derived
 def side_data(table: CayleyTable) -> SideData:
     return SideData(table)
+
+
+@derived
+def map_free_records(s: CayleyTable) -> dict[str, Record]:
+    """Records of the statements that never read the subset map, checked
+    once per semigroup and shared by every suite run with it as source."""
+    sd = side_data(s)
+    checks = {name: _Check(name) for name in MAP_FREE_IDS}
+    prod = sd.power.product_mask
+    _a3_shape_checks(checks, sd, prod)
+    _rigidity_checks(checks, sd)
+    _power_green_checks(checks, sd)
+    _ep_order_checks(checks, sd, prod)
+    _rho_checks(checks, sd, prod, s.table)
+    return {name: ck.record() for name, ck in checks.items()}
 
 
 # -- the statement suite -------------------------------------------------------
@@ -647,7 +629,7 @@ def verify_statement_suite(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> list
     _pair_chain_checks(checks, sd, m)
     _nonmaximal_checks(checks, sd, m)
 
-    shared = sd.map_free_records()
+    shared = map_free_records(s)
     return [shared[name] if name in shared else checks[name].record() for name in STATEMENT_IDS]
 
 
@@ -703,7 +685,10 @@ def _rigidity_checks(checks, sd: SideData) -> None:
     g = sd.green
     t = sd.table.table
     dec = sd.dec
-    for am in sd.a3char_masks():
+    for am in sorted(sd.ep):
+        # only idempotent subsets satisfying the square-and-absorb rigidity premise
+        if a3_counterexample(sd.power, am) is not None:
+            continue
         elems = tuple(bits(am))
         for a in elems:
             cube = t[t[a][a]][a]
@@ -941,8 +926,8 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
                         f"{s_el} against the image of {b} gives {sandwich:#x}",
                     )
     for alpha in sd.zero_components():
-        rho_a = sd.rho(alpha)
-        rho_b = se.rho(theta.forward[alpha])
+        rho_a = rho_partition(dec, alpha)
+        rho_b = rho_partition(se.dec, theta.forward[alpha])
         comp_mask = dec.components[alpha]
         for a in dec.component_elements(alpha):
             block_mask = mask_of(rho_a.block_containing(a))
@@ -962,7 +947,7 @@ def _rho_checks(checks, sd: SideData, prod, t) -> None:
     ck_col = checks["rho-sandwich-collapse"]
     ck_tr = checks["rho-lower-translation"]
     for alpha in sd.zero_components():
-        rho = sd.rho(alpha)
+        rho = rho_partition(dec, alpha)
         below = [b for b in range(dec.count) if dec.lt(b, alpha)]
         above = [g for g in range(dec.count) if dec.lt(alpha, g)]
         for block in rho.blocks:

@@ -30,14 +30,13 @@ from .core import (
     is_subsemigroup_mask,
     validate_table,
 )
-from .errors import FalsificationError
+from .errors import FalsificationError, ThetaNotSingletonError
 from .families import corpus
 from .globaldet import (
     IsoMap,
     Record,
     STATEMENT_IDS,
     construct_eta,
-    extract_theta,
     find_isomorphisms,
     is_singleton_preserving,
     lift,
@@ -233,10 +232,10 @@ def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> list[IsoMap
     return psis
 
 
-def global_sweep(members, limit: int = 8) -> SweepResult:
+def global_sweep(members) -> SweepResult:
     """Run the whole pipeline over every same-order pair of members: collect
-    subset isomorphisms, extract the component map, build the element map,
-    and run the statement suite per isomorphism."""
+    subset isomorphisms, build the element map (which extracts the component
+    map first), and run the statement suite per isomorphism."""
     records: list[Record] = []
     coverage: Counter = Counter()
     psi_total = 0
@@ -248,7 +247,7 @@ def global_sweep(members, limit: int = 8) -> SweepResult:
             if s.order != s2.order:
                 continue
             scope = f"{name_a}|{name_b}"
-            psis = collect_psis(s, s2, limit)
+            psis = collect_psis(s, s2)
             if not psis:
                 element_isos = find_isomorphisms(s, s2, limit=1)
                 records.append(
@@ -267,17 +266,15 @@ def global_sweep(members, limit: int = 8) -> SweepResult:
                 if is_left_zero(s) and not is_singleton_preserving(psi, s.order):
                     nonsingleton += 1
                 pscope = f"{scope}#psi{k}"
+                theta_witness = eta_witness = None
                 try:
-                    extract_theta(psi, dec_a, dec_b)
-                    records.append(Record("theta-extraction", pscope, 1, True))
+                    etas[(name_a, name_b, k)] = construct_eta(psi, dec_a, dec_b)
+                except ThetaNotSingletonError as exc:
+                    theta_witness = eta_witness = str(exc)
                 except FalsificationError as exc:
-                    records.append(Record("theta-extraction", pscope, 1, False, str(exc)))
-                try:
-                    eta = construct_eta(psi, dec_a, dec_b)
-                    etas[(name_a, name_b, k)] = eta
-                    records.append(Record("eta-construction", pscope, 1, eta.verified))
-                except FalsificationError as exc:
-                    records.append(Record("eta-construction", pscope, 1, False, str(exc)))
+                    eta_witness = str(exc)
+                records.append(Record("theta-extraction", pscope, 1, theta_witness is None, theta_witness))
+                records.append(Record("eta-construction", pscope, 1, eta_witness is None, eta_witness))
                 for rec in verify_statement_suite(s, s2, psi):
                     coverage[rec.check] += rec.instances
                     records.append(Record(rec.check, pscope, rec.instances, rec.ok, rec.witness))

@@ -79,6 +79,7 @@ def assert_one_line_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert len(captured.err.encode()) < 200, captured.err[:300]
 
 
 @pytest.mark.parametrize(
@@ -96,6 +97,9 @@ def assert_one_line_error(capsys):
         '{"order": 1}',
         pytest.param('{"table": ' + "[" * 200_000 + "]" * 200_000 + "}", id="deeply-nested"),
         "2 junk\n0 0\n1 1\n",
+        pytest.param('{"table": [[[' + "1, " * 199_999 + "1]]]}", id="long-entry"),
+        pytest.param('{"table": [[0]], "order": [' + "0, " * 99_999 + "0]}", id="long-order"),
+        pytest.param(" ".join(["1"] * 100_000) + "\n0\n", id="long-first-line"),
     ],
 )
 def test_analyze_rejects_malformed_table_document(tmp_path, capsys, text):
@@ -255,6 +259,9 @@ def test_env_malformed_bound_is_operational_error(monkeypatch, tmp_path, capsys)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: CRGLOBAL_MAX_ORDER must be an integer, got 'abc'\n"
+    monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "x" * 100_000)
+    assert main(["breakable", path]) == 2
+    assert_one_line_error(capsys)
 
 
 def test_records_serialize_as_sorted_json_of_their_fields():

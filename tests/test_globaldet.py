@@ -12,6 +12,7 @@ from crglobal.breakable import enumerate_a2bar_masks
 from crglobal.cli import main, table_to_json
 from crglobal.core import CayleyTable, bits, is_left_zero, validate_table
 from crglobal.errors import (
+    EtaNotMorphismError,
     OrderTooLargeError,
     SearchBudgetExceededError,
     SearchResultError,
@@ -33,7 +34,7 @@ from crglobal.globaldet import (
     verify_morphism,
     verify_statement_suite,
 )
-from crglobal.structure import decompose
+from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose
 from crglobal.verify import collect_psis, global_sweep
 
 
@@ -58,16 +59,18 @@ def test_find_isomorphisms_rejects_limit_below_one():
             find_isomorphisms(l2, l2, limit=limit)
 
 
-def test_find_isomorphisms_budget():
+def test_find_isomorphisms_budget(monkeypatch):
+    monkeypatch.setattr(globaldet, "MAX_NODES", 0)
     z3 = families.cyclic_group(3)
     with pytest.raises(SearchBudgetExceededError):
-        find_isomorphisms(z3, z3, max_nodes=0)
+        find_isomorphisms(z3, z3)
 
 
-def test_find_isomorphisms_budget_message():
+def test_find_isomorphisms_budget_message(monkeypatch):
+    monkeypatch.setattr(globaldet, "MAX_NODES", 2)
     p = power_table(families.left_zero(3))  # a left zero semigroup with 7! automorphisms
     with pytest.raises(SearchBudgetExceededError) as info:
-        find_isomorphisms(p, p, max_nodes=2, kind="subsets")
+        find_isomorphisms(p, p, kind="subsets")
     assert str(info.value) == "subsets isomorphism search on carriers of order 7 gave up after 3 nodes"
     assert (info.value.nodes, info.value.order, info.value.kind) == (3, 7, "subsets")
 
@@ -109,9 +112,10 @@ def rect_band_pair(named):
     return relabel(t, [1, 2, 3, 5, 4, 0]), relabel(t, [1, 2, 0, 3, 5, 4])
 
 
-def test_relabelled_rect_band_power_search_is_small(rect_band_pair):
+def test_relabelled_rect_band_power_search_is_small(rect_band_pair, monkeypatch):
+    monkeypatch.setattr(globaldet, "MAX_NODES", 1000)
     a, b = rect_band_pair
-    maps = find_isomorphisms(power_table(a), power_table(b), max_nodes=1000, kind="subsets")
+    maps = find_isomorphisms(power_table(a), power_table(b), kind="subsets")
     assert len(maps) == 8
 
 
@@ -125,10 +129,11 @@ def test_globaliso_relabelled_rect_band(rect_band_pair, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["lz3-monoid", "rz3-monoid"])
-def test_monoid_power_self_pair_is_small(named, name):
+def test_monoid_power_self_pair_is_small(named, name, monkeypatch):
     # the identity {1} and {1,a} differ only in which products equal a factor
+    monkeypatch.setattr(globaldet, "MAX_NODES", 1000)
     p = power_table(named[name])
-    assert len(find_isomorphisms(p, p, max_nodes=1000, kind="subsets")) == 6
+    assert len(find_isomorphisms(p, p, kind="subsets")) == 6
 
 
 def test_automorphism_counts_match_brute_force(cr5):
@@ -236,6 +241,43 @@ def test_extract_theta_flags_fake_psi(named):
     fake = IsoMap("subsets", tuple(forward), tuple(forward), verified=True)
     with pytest.raises(ThetaNotSingletonError):
         extract_theta(fake, dec, dec)
+
+
+def test_extract_theta_refuses_non_homomorphic_component_map(named):
+    # swapping the singletons {0} and {1} keeps every component inside one
+    # component, but the induced map on the semilattice is no homomorphism
+    s = named["vee-semilattice"]
+    dec = decompose(s)
+    forward = list(range((1 << s.order) - 1))
+    forward[0], forward[1] = forward[1], forward[0]
+    fake = IsoMap("subsets", tuple(forward), tuple(forward), verified=True)
+    with pytest.raises(ThetaNotSingletonError, match="component map is not"):
+        extract_theta(fake, dec, dec)
+
+
+def test_construct_eta_refuses_lifted_non_automorphism(named):
+    s = named["cyclic-3"]
+    dec = decompose(s)
+    swap = IsoMap("elements", (1, 0, 2), (1, 0, 2), verified=True)
+    with pytest.raises(EtaNotMorphismError):
+        construct_eta(lift(swap), dec, dec)
+
+
+@pytest.mark.parametrize("error, theta_fails", [(ThetaNotSingletonError, True), (EtaNotMorphismError, False)])
+def test_sweep_files_a_refused_transfer(named, monkeypatch, error, theta_fails):
+    # construct_eta extracts theta first, so only its refusal fails both records
+    def refuse(psi, dec_a, dec_b):
+        raise error("refused")
+
+    monkeypatch.setattr(verify, "construct_eta", refuse)
+    result = global_sweep([("cyclic-2", named["cyclic-2"])])
+    thetas = [r for r in result.records if r.check == "theta-extraction"]
+    etas = [r for r in result.records if r.check == "eta-construction"]
+    assert thetas and len(thetas) == len(etas) == result.psi_total
+    assert all((r.ok, r.witness) == (False, "refused") for r in etas)
+    want = (False, "refused") if theta_fails else (True, None)
+    assert all((r.ok, r.witness) == want for r in thetas)
+    assert result.etas == {}
 
 
 def test_rho_partition_examples(named):
@@ -438,6 +480,29 @@ def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
     assert len(shape_runs) == len(set(shape_runs)) == len(sides)
     for s, s2, psi, records in suites:
         assert verify_statement_suite(fresh(s), fresh(s2), psi) == records
+
+
+def test_transfer_work_is_done_once_per_table_and_map(cr5):
+    # each sandwich partition is built once per table instance, and the
+    # component map is extracted by construct_eta and the suite alone
+    members = [(name, fresh(s)) for name, s in cr5]
+    watched = {globaldet.RhoPartition.__init__.__code__: "partitions", extract_theta.__code__: "thetas"}
+    runs = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            runs[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = global_sweep(members)
+    finally:
+        sys.setprofile(None)
+    zero_components = sum(
+        tag in (LEFT_ZERO, RIGHT_ZERO) for _, s in members for tag in decompose(s).classification
+    )
+    assert runs["partitions"] == zero_components
+    assert 0 < runs["thetas"] <= 2 * result.psi_total, (runs, result.psi_total)
 
 
 def test_search_invariants_are_computed_once_per_table(cr4):
