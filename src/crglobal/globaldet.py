@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .breakable import a3_counterexample, enumerate_a2_masks, enumerate_a2bar_masks, enumerate_a3_masks
 from .core import CayleyTable, bits, derived, green_relations, mask_of, natural_order
@@ -51,12 +52,11 @@ def _invert(forward) -> tuple[int, ...]:
 def verify_morphism(a: CayleyTable, b: CayleyTable, forward) -> bool:
     if sorted(forward) != list(range(b.order)) or a.order != b.order:
         return False
-    ta, tb = a.table, b.table
-    for x in range(a.order):
-        for y in range(a.order):
-            if forward[ta[x][y]] != tb[forward[x]][forward[y]]:
-                return False
-    return True
+    # row x of a relabelled by forward must equal row forward[x] of b read
+    # along forward; itemgetter does the lookups of a whole row in C
+    along = itemgetter(*forward)
+    tb = b.table
+    return all(itemgetter(*row)(forward) == along(tb[fx]) for row, fx in zip(a.table, forward))
 
 
 def psi_image_mask(psi: IsoMap, mask: int) -> int:
@@ -177,11 +177,14 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
     apart by the colours of their products and by which products equal one
     of their factors (an identity from an idempotent that only absorbs part
     of the carrier, say).  Each assignment is propagated through the
-    product against the trail of elements already assigned, so the search
-    completes quickly on the sizes handled here.  An exhausted search
-    returning no map means the tables are not isomorphic; running out of
-    ``MAX_NODES`` raises instead, and so does a result that fails
-    verification.
+    product: every product of a newly assigned element with the trail of
+    elements already assigned is checked against the trail on the spot,
+    and only an unassigned product is assigned in turn, so the trail is
+    also the work queue.  Branching takes the first unassigned element of
+    a colour with the fewest unassigned elements, read from per-colour
+    counts.  An exhausted search returning no map means the tables are not
+    isomorphic; running out of ``MAX_NODES`` raises instead, and so does a
+    result that fails verification.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -191,8 +194,17 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
     ca, cb = _joint_colors(a, b)
     if sorted(ca) != sorted(cb):
         return []
-    cand = [tuple(j for j in range(n) if cb[j] == ca[i]) for i in range(n)]
+    ncolors = max(ca) + 1
+    members: list[list[int]] = [[] for _ in range(ncolors)]  # elements of a per colour
+    cand: list[list[int]] = [[] for _ in range(ncolors)]  # elements of b per colour
+    for i, c in enumerate(ca):
+        members[c].append(i)
+    for j, c in enumerate(cb):
+        cand[c].append(j)
+    left = [len(m) for m in members]  # unassigned elements per colour, equal on both sides
     ta, tb = a.table, b.table
+    cola = [col for _, col, _ in _neighbourhoods(a)]
+    colb = [col for _, col, _ in _neighbourhoods(b)]
     fwd = [-1] * n
     back = [-1] * n
     trail: list[int] = []  # assigned elements of a, in assignment order
@@ -200,52 +212,74 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
     nodes = 0
 
     def assign(i: int, j: int) -> bool:
-        stack = [(i, j)]
-        while stack:
-            x, y = stack.pop()
-            fx = fwd[x]
-            if fx >= 0:
-                if fx != y:
-                    return False
-                continue
-            if back[y] >= 0 or cb[y] != ca[x]:
-                return False
-            fwd[x] = y
-            back[y] = x
-            trail.append(x)
-            rx, ry = ta[x], tb[y]
-            for z in trail:
+        fwd[i] = j
+        back[j] = i
+        left[ca[i]] -= 1
+        k = len(trail)
+        trail.append(i)
+        while k < len(trail):
+            x = trail[k]
+            y = fwd[x]
+            rx, ry, cx, cy = ta[x], tb[y], cola[x], colb[y]
+            # x and the elements processed before it, newest first (those
+            # queued after x meet x when they are processed); the row and the
+            # column product are checked in turn, spelled out for speed
+            for z in trail[k::-1]:
                 fz = fwd[z]
-                stack.append((rx[z], ry[fz]))
-                stack.append((ta[z][x], tb[fz][y]))
+                p = rx[z]
+                q = ry[fz]
+                fp = fwd[p]
+                if fp >= 0:
+                    if fp != q:
+                        return False
+                elif back[q] >= 0 or cb[q] != ca[p]:
+                    return False
+                else:
+                    fwd[p] = q
+                    back[q] = p
+                    left[ca[p]] -= 1
+                    trail.append(p)
+                p = cx[z]
+                q = cy[fz]
+                fp = fwd[p]
+                if fp >= 0:
+                    if fp != q:
+                        return False
+                elif back[q] >= 0 or cb[q] != ca[p]:
+                    return False
+                else:
+                    fwd[p] = q
+                    back[q] = p
+                    left[ca[p]] -= 1
+                    trail.append(p)
+            k += 1
         return True
 
     def dfs() -> None:
         nonlocal nodes
-        best_i = -1
-        best: tuple[int, ...] | None = None
-        for i in range(n):
-            if fwd[i] < 0:
-                viable = tuple(j for j in cand[i] if back[j] < 0)
-                if best is None or len(viable) < len(best):
-                    best = viable
-                    best_i = i
-                    if len(viable) <= 1:
-                        break
-        if best_i < 0:
+        if len(trail) == n:
             results.append(tuple(fwd))
             return
+        fewest = min(c for c in left if c)
+        best_i = n
+        for c, count in enumerate(left):
+            if count == fewest:
+                for i in members[c]:
+                    if fwd[i] < 0:
+                        best_i = min(best_i, i)
+                        break
         mark = len(trail)
-        for j in best:
+        for j in [j for j in cand[ca[best_i]] if back[j] < 0]:
             nodes += 1
             if nodes > MAX_NODES:
                 raise SearchBudgetExceededError(nodes, n, kind)
             if assign(best_i, j):
                 dfs()
-            while len(trail) > mark:
-                x = trail.pop()
+            for x in trail[mark:]:
                 back[fwd[x]] = -1
                 fwd[x] = -1
+                left[ca[x]] += 1
+            del trail[mark:]
             if len(results) >= limit:
                 return
 
@@ -275,6 +309,8 @@ def power_of(s: CayleyTable) -> Power:
 
 def lift(phi: IsoMap) -> IsoMap:
     """Lift an element bijection to the subset level, elementwise."""
+    if phi.kind != "elements":
+        raise ValueError(f"lift needs an element map, got a {phi.kind} map")
     n = len(phi.forward)
     size = (1 << n) - 1
     forward = []

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import sys
 import weakref
@@ -141,6 +142,50 @@ def test_automorphism_counts_match_brute_force(cr5):
         assert len(find_isomorphisms(s, s, limit=10**6)) == oracle_automorphism_count(s), name
 
 
+# Power pairs whose search tree is pinned: (member, relabelling of the second
+# side, nodes the search expands, sha256 of the repr of the forward tuples of
+# the maps it returns, in order).  Propagation order and per-node speed may
+# change freely; a change that prunes on purpose updates the node counts and
+# digests and says so in CHANGES.md.
+PINNED_TREES = [
+    ("rees-z3-2x1", [0, 4, 1, 3, 2, 5], 12893, "ad24eb6d6e1b5be4d9761286800505b7f63f57f21cfcbfaf811050fefae5b6b5"),
+    ("cyclic-5", [2, 3, 4, 0, 1], 422, "7fa3e01f04ab1d2d6b14563d16d8523f2e2612bd5449f0e5f058ae43a800999d"),
+    ("left-zero-5", [2, 3, 4, 0, 1], 49, "8a43bf5d22b48d43c92b8faaa19793dfb40700c4ac6ad874bfd1946e5c2d3d4e"),
+]
+
+
+@pytest.mark.parametrize("name, perm, nodes, digest", PINNED_TREES, ids=[row[0] for row in PINNED_TREES])
+def test_power_search_tree_is_pinned(named, monkeypatch, name, perm, nodes, digest):
+    s = named[name]
+    pa, pb = power_table(s), power_table(relabel(s, perm))
+    monkeypatch.setattr(globaldet, "MAX_NODES", nodes - 1)
+    with pytest.raises(SearchBudgetExceededError) as info:
+        find_isomorphisms(pa, pb, kind="subsets")
+    assert info.value.nodes == nodes
+    monkeypatch.setattr(globaldet, "MAX_NODES", nodes)
+    maps = find_isomorphisms(pa, pb, kind="subsets")
+    assert hashlib.sha256(repr([m.forward for m in maps]).encode()).hexdigest() == digest
+
+
+def test_power_search_is_complete_on_small_semigroups():
+    # every semigroup of order <= 3, regular or not: the search finds every
+    # automorphism of P(S), and every isomorphism P(S) -> P(pi S)
+    members = [s for order in (1, 2, 3) for s in families.enumerate_small(order)]
+    assert len(members) == 30
+    for k, s in enumerate(members):
+        p = power_table(s)
+        count = oracle_automorphism_count(p)
+        assert len(find_isomorphisms(p, p, limit=10**6, kind="subsets")) == count, s.table
+        perm = list(range(s.order))
+        random.Random(k).shuffle(perm)
+        t = relabel(s, perm)
+        maps = find_isomorphisms(p, power_table(t), limit=10**6, kind="subsets")
+        assert len(maps) == count, (s.table, perm)
+        rows, rows_t = oracle_power_rows(s), oracle_power_rows(t)
+        for m in maps:
+            assert oracle_is_isomorphism(rows, rows_t, m.forward), (s.table, perm)
+
+
 def test_power_search_finds_relabelled_copies(cr6):
     for name, s in cr6:
         rows = oracle_power_rows(s)
@@ -182,6 +227,19 @@ def test_lift_examples():
     # swap exchanges the singletons and fixes the full subset
     assert lift(swap).forward == (1, 0, 2)
     assert is_singleton_preserving(lift(swap), 2)
+
+
+def test_lift_refuses_maps_that_are_not_element_maps(named):
+    p = power_table(families.cyclic_group(2))
+    psi = find_isomorphisms(p, p, kind="subsets")[0]
+    with pytest.raises(ValueError, match="lift needs an element map, got a subsets map"):
+        lift(psi)
+    c3 = named["clifford-3"]
+    dec = decompose(c3)
+    theta = extract_theta(collect_psis(c3, c3)[0], dec, dec)
+    assert theta.kind == "components"
+    with pytest.raises(ValueError, match="lift needs an element map, got a components map"):
+        lift(theta)
 
 
 def test_lift_is_always_a_power_isomorphism(cr4):
