@@ -12,6 +12,7 @@ import json
 import os
 import reprlib
 import sys
+from functools import cache
 
 from .breakable import (
     a2_characterization,
@@ -108,9 +109,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_breakable(args) -> int:
+    max_order = _max_order(args.max_order, 12)
     s = load_table(args.path)
-    if s.order > args.max_order:
-        raise SemigroupError(f"order {s.order} exceeds --max-order {args.max_order}")
+    if s.order > max_order:
+        raise SemigroupError(f"order {s.order} exceeds --max-order {max_order}")
     if not is_completely_regular(s):
         raise SemigroupError("input is not completely regular")
     p = power_of(s)
@@ -137,13 +139,14 @@ def cmd_breakable(args) -> int:
 
 
 def cmd_globaliso(args) -> int:
+    max_order = _max_order(args.max_order, 5)
     s = load_table(args.path_a)
     s2 = load_table(args.path_b)
     for t in (s, s2):
         if not is_completely_regular(t):
             raise SemigroupError("both inputs must be completely regular")
-        if t.order > args.max_order:
-            raise SemigroupError(f"order {t.order} exceeds --max-order {args.max_order}")
+        if t.order > max_order:
+            raise SemigroupError(f"order {t.order} exceeds --max-order {max_order}")
     psis = collect_psis(s, s2, args.limit)
     if not psis:
         print("no power-semigroup isomorphism found")
@@ -194,7 +197,11 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def _env_max_order(default: int) -> int:
+def _max_order(given: int | None, default: int) -> int:
+    """The order bound: ``--max-order`` if given, else the environment
+    variable, else ``default``."""
+    if given is not None:
+        return given
     raw = os.environ.get(ENV_MAX_ORDER)
     if raw is None:
         return default
@@ -204,9 +211,11 @@ def _env_max_order(default: int) -> int:
         raise SemigroupError(f"{ENV_MAX_ORDER} must be an integer, got {reprlib.repr(raw)}") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after that;
+    it reads no environment, so one parser serves every call."""
     parser = argparse.ArgumentParser(prog="crglobal", description=__doc__)
-    default_max = _env_max_order(12)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="validate a table and print its structure")
@@ -215,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("breakable", help="list subsemigroups with short-product closure")
     p.add_argument("path")
-    p.add_argument("--max-order", type=int, default=default_max)
+    p.add_argument("--max-order", type=int, default=None)
     p.set_defaults(func=cmd_breakable)
 
     p = sub.add_parser("globaliso", help="search power-semigroup isomorphisms and build element maps")
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--limit", type=int, default=8)
-    p.add_argument("--max-order", type=int, default=_env_max_order(5))
+    p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--emit-eta", default=None)
     p.set_defaults(func=cmd_globaliso)
 

@@ -187,8 +187,9 @@ def green_relations(s: CayleyTable) -> GreenData:
     n = s.order
     t = s.table
     rng = range(n)
-    lideal = [frozenset({a} | {t[x][a] for x in rng}) for a in rng]
-    rideal = [frozenset({a} | {t[a][x] for x in rng}) for a in rng]
+    # S^1 a is column a with a, a S^1 is row a with a
+    lideal = [frozenset(col).union((a,)) for a, col in enumerate(zip(*t))]
+    rideal = [frozenset(row).union((a,)) for a, row in enumerate(t)]
     lclass = _number_classes(lideal)
     rclass = _number_classes(rideal)
     hclass = _number_classes(list(zip(lclass, rclass)))

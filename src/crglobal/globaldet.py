@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import cached_property
+from operator import add, itemgetter
 
 from .breakable import a3_counterexample, enumerate_a2_masks, enumerate_a2bar_masks, enumerate_a3_masks
 from .core import CayleyTable, bits, derived, green_relations, mask_of, natural_order
@@ -128,12 +129,17 @@ def _neighbourhoods(t: CayleyTable) -> list:
     return out
 
 
-def _refine_once(hoods: list, colors: list[int]) -> list:
-    get = colors.__getitem__
-    return [
-        (colors[x], frozenset(Counter(zip(colors, map(get, row), map(get, col), flags)).items()))
-        for x, (row, col, flags) in enumerate(hoods)
-    ]
+def _refine_once(hoods: list, colors: list[int], m: int) -> list:
+    # each neighbour y of x as one int, ((c_y * m + c_xy) * m + c_yx) * 16 + flags,
+    # exact for colours below m; the sorted keys are x's neighbourhood multiset
+    cy = [c * m * m * 16 for c in colors]
+    cxy = [c * m * 16 for c in colors]
+    cyx = [c * 16 for c in colors]
+    out = []
+    for x, (row, col, flags) in enumerate(hoods):
+        keys = map(add, map(add, cy, map(cxy.__getitem__, row)), map(add, map(cyx.__getitem__, col), flags))
+        out.append((colors[x], tuple(sorted(keys))))
+    return out
 
 
 def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]:
@@ -142,10 +148,13 @@ def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]
     Starting from Green-class sizes and power orders, each round splits a
     colour by the multiset of (colour of y, colour of x*y, colour of y*x,
     which of x*y and y*x equal x or y) over all y, until no colour splits.
-    Sound for pruning because every ingredient is isomorphism-invariant.
-    Stops early once some colour covers different numbers of elements in
-    the two tables: refinement only splits colours, so the tables cannot be
-    isomorphic.
+    Each such 4-tuple is encoded as one exact integer over the number of
+    colours in play, so a multiset is a sorted tuple of ints; the encoding
+    is injective, so the partitions and their numbering are those of the
+    tuples themselves.  Sound for pruning because every ingredient is
+    isomorphism-invariant.  Stops early once some colour covers different
+    numbers of elements in the two tables: refinement only splits colours,
+    so the tables cannot be isomorphic.
     """
     same = a.table == b.table
     basea = _base_signature(a)
@@ -156,8 +165,8 @@ def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]
     hb = ha if same else _neighbourhoods(b)
     count = len(set(ca))
     while True:
-        rawa = _refine_once(ha, ca)
-        ca, cb = _canon_pair(rawa, rawa if same else _refine_once(hb, cb))
+        rawa = _refine_once(ha, ca, count)
+        ca, cb = _canon_pair(rawa, rawa if same else _refine_once(hb, cb, count))
         if sorted(ca) != sorted(cb):
             return ca, cb
         new_count = len(set(ca))
@@ -495,6 +504,40 @@ class SideData:
         self.a2 = set(enumerate_a2_masks(table))
         self.a3 = set(enumerate_a3_masks(table))
         self.a2bar = set(enumerate_a2bar_masks(table))
+        # ascending, for the image checks run once per subset map
+        self.class_lists = tuple(sorted(c) for c in (self.a3, self.a2, self.a2bar))
+
+    @cached_property
+    def support_groups(self) -> list[tuple[list[int], list[bool]]]:
+        """The nonempty subsets grouped by the R-classes they meet, groups of
+        one left out, each group ascending and paired with, for each member
+        after the first, whether its right ideal equals the first member's."""
+        rclass = self.green.rclass
+        ideals = self.power.right_ideals()
+        support = [0]  # support[mask]: bit r set when mask meets R-class r
+        groups: dict[int, list[int]] = {}
+        for mask in range(1, self.full_mask + 1):
+            low = mask & -mask
+            support.append(support[mask ^ low] | (1 << rclass[low.bit_length() - 1]))
+            groups.setdefault(support[mask], []).append(mask)
+        return [(g, [ideals[o] == ideals[g[0]] for o in g[1:]]) for g in groups.values() if len(g) > 1]
+
+    @cached_property
+    def sandwiches(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """For each element a and component beta strictly below the component
+        of a: the pairs (B, {a}*B*{a}) over the nonempty subsets B of beta,
+        B descending."""
+        dec = self.dec
+        prod = self.power.product_mask
+        out = {}
+        for alpha in range(dec.count):
+            for beta in range(dec.count):
+                if not dec.lt(beta, alpha):
+                    continue
+                for a in dec.component_elements(alpha):
+                    am = 1 << a
+                    out[a, beta] = [(bm, prod(prod(am, bm), am)) for bm in _submasks(dec.components[beta])]
+        return out
 
     def idset(self, mask: int) -> frozenset[int]:
         return id_set_mask(mask, self.dec)
@@ -597,7 +640,12 @@ MAP_FREE_IDS = (
 
 class _Check:
     """Accumulates one suite statement: counts every instance and keeps the
-    first witness."""
+    first witness.
+
+    A witness is given as a ``str.format`` template and its arguments, and
+    only the first failing instance formats it; the rest pass the template
+    unformatted.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -605,14 +653,14 @@ class _Check:
         self.ok = True
         self.witness: str | None = None
 
-    def count(self, ok: bool, witness: str = "") -> None:
+    def count(self, ok: bool, template: str, *args) -> None:
         self.instances += 1
         if not ok and self.ok:
             self.ok = False
-            self.witness = witness
+            self.witness = template.format(*args)
 
     def fail(self, witness: str) -> None:
-        self.count(False, witness)
+        self.count(False, "{}", witness)
 
     def record(self) -> Record:
         return Record(self.name, "", self.instances, self.ok, self.witness)
@@ -670,18 +718,18 @@ def verify_statement_suite(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> list
 
 
 def _image_bijections(checks, sd: SideData, se: SideData, m) -> None:
-    for name, src, dst in (
-        ("a3-image-bijection", sd.a3, se.a3),
-        ("a2-image-bijection", sd.a2, se.a2),
-        ("a2bar-image-bijection", sd.a2bar, se.a2bar),
+    for name, src, dst in zip(
+        ("a3-image-bijection", "a2-image-bijection", "a2bar-image-bijection"),
+        sd.class_lists,
+        (se.a3, se.a2, se.a2bar),
     ):
         ck = checks[name]
         images = set()
-        for am in sorted(src):
+        for am in src:
             img = m(am)
             images.add(img)
-            ck.count(img in dst, f"image of {am:#x} is {img:#x}, outside the matched class")
-        ck.count(images == dst, f"images cover {len(images)} of {len(dst)} targets")
+            ck.count(img in dst, "image of {:#x} is {:#x}, outside the matched class", am, img)
+        ck.count(images == dst, "images cover {} of {} targets", len(images), len(dst))
 
 
 def _a3_shape_checks(checks, sd: SideData, prod) -> None:
@@ -695,15 +743,15 @@ def _a3_shape_checks(checks, sd: SideData, prod) -> None:
     for am in sorted(sd.a3):
         for a in bits(am):
             e = g.local_identity[a]
-            ck_id.count((am >> e) & 1 == 1, f"identity {e} of {a} escapes {am:#x}")
+            ck_id.count((am >> e) & 1 == 1, "identity {} of {} escapes {:#x}", e, a, am)
         for bm in _submasks(am):
             if sq[bm] == am:
-                ck_root.count(bm == am, f"proper {bm:#x} squares to {am:#x}")
+                ck_root.count(bm == am, "proper {:#x} squares to {:#x}", bm, am)
         ids_a = sd.idset(am)
         for bm in positions(sq, am):
-            ck_sup.count(sd.idset(bm) == ids_a, f"{bm:#x} squares to {am:#x} with different support")
+            ck_sup.count(sd.idset(bm) == ids_a, "{:#x} squares to {:#x} with different support", bm, am)
             if prod(bm, am) == am:
-                ck_mul.count(bm == am, f"{bm:#x} multiplies and squares onto {am:#x}")
+                ck_mul.count(bm == am, "{:#x} multiplies and squares onto {:#x}", bm, am)
         # the subsets supported inside the support of A, ascending
         support = 0
         for alpha in ids_a:
@@ -714,7 +762,7 @@ def _a3_shape_checks(checks, sd: SideData, prod) -> None:
             if not bm:
                 break
             if prod(bm, am) == am and prod(am, bm) == am:
-                ck_abs.count(bm | am == am, f"{bm:#x} absorbed by {am:#x} but not contained")
+                ck_abs.count(bm | am == am, "{:#x} absorbed by {:#x} but not contained", bm, am)
 
 
 def _rigidity_checks(checks, sd: SideData) -> None:
@@ -730,22 +778,22 @@ def _rigidity_checks(checks, sd: SideData) -> None:
             cube = t[t[a][a]][a]
             e = g.local_identity[a]
             checks["rigid-cube-identity"].count(
-                cube == a and (am >> e) & 1 == 1, f"a={a} in {am:#x}: cube {cube}, identity {e}"
+                cube == a and (am >> e) & 1 == 1, "a={} in {:#x}: cube {}, identity {}", a, am, cube, e
             )
         for a in elems:
             for b in elems:
                 p = t[a][b]
                 allowed = {a, b, g.local_identity[a], g.local_identity[b]}
-                checks["rigid-pair-products"].count(p in allowed, f"{a}*{b}={p} in {am:#x}")
+                checks["rigid-pair-products"].count(p in allowed, "{}*{}={} in {:#x}", a, b, p, am)
         ids = sorted(sd.idset(am))
         chain = all(dec.leq(x, y) or dec.leq(y, x) for x in ids for y in ids)
-        checks["rigid-support-chain"].count(chain, f"support of {am:#x} is not a chain")
+        checks["rigid-support-chain"].count(chain, "support of {:#x} is not a chain", am)
         for a in elems:
             if t[a][a] != a:
                 in_h = {x for x in elems if g.hclass[x] == g.hclass[a]}
                 want = {a, g.local_identity[a]}
                 checks["rigid-nonidempotent-hclass"].count(
-                    in_h == want, f"H-slice of {a} in {am:#x} is {sorted(in_h)}"
+                    in_h == want, "H-slice of {} in {:#x} is {}", a, am, sorted(in_h)
                 )
         maxima = [x for x in ids if not any(dec.lt(x, y) for y in ids)]
         for alpha in ids:
@@ -753,13 +801,13 @@ def _rigidity_checks(checks, sd: SideData) -> None:
             one_l = len({g.lclass[x] for x in slice_elems}) == 1
             one_r = len({g.rclass[x] for x in slice_elems}) == 1
             checks["rigid-slice-one-sided"].count(
-                one_l or one_r, f"slice {alpha} of {am:#x} spans several L- and R-classes"
+                one_l or one_r, "slice {} of {:#x} spans several L- and R-classes", alpha, am
             )
             if alpha not in maxima:
                 lz = all(t[x][y] == x for x in slice_elems for y in slice_elems)
                 rz = all(t[x][y] == y for x in slice_elems for y in slice_elems)
                 checks["rigid-lower-slice-zero"].count(
-                    lz or rz, f"non-maximal slice {alpha} of {am:#x} is not a zero semigroup"
+                    lz or rz, "non-maximal slice {} of {:#x} is not a zero semigroup", alpha, am
                 )
                 for beta in ids:
                     if not dec.lt(alpha, beta):
@@ -768,8 +816,7 @@ def _rigidity_checks(checks, sd: SideData) -> None:
                     for a in slice_elems:
                         for b in uppers:
                             checks["rigid-lower-slice-zero"].count(
-                                t[a][b] == a and t[b][a] == a,
-                                f"absorption fails for {a},{b} in {am:#x}",
+                                t[a][b] == a and t[b][a] == a, "absorption fails for {},{} in {:#x}", a, b, am
                             )
         if len(maxima) == 1:
             omega = maxima[0]
@@ -778,7 +825,7 @@ def _rigidity_checks(checks, sd: SideData) -> None:
             for a in bad:
                 e = g.local_identity[a]
                 ok = set(top) == {a, e} and t[a][a] == e
-                checks["rigid-top-two-group"].count(ok, f"top slice of {am:#x} is {sorted(top)}")
+                checks["rigid-top-two-group"].count(ok, "top slice of {:#x} is {}", am, sorted(top))
 
 
 def _power_green_checks(checks, sd: SideData) -> None:
@@ -793,31 +840,26 @@ def _power_green_checks(checks, sd: SideData) -> None:
         base = ideals[group[0]]
         for other in group[1:]:
             checks["power-r-ideal"].count(
-                ideals[other] == base,
-                f"R-related {group[0]:#x} and {other:#x} have different right ideals",
+                ideals[other] == base, "R-related {:#x} and {:#x} have different right ideals", group[0], other
             )
     for group in by_d.values():
         base = sd.idset(group[0])
         for other in group[1:]:
             checks["power-d-support"].count(
-                sd.idset(other) == base,
-                f"D-related {group[0]:#x} and {other:#x} have different supports",
+                sd.idset(other) == base, "D-related {:#x} and {:#x} have different supports", group[0], other
             )
 
 
 def _ideal_checks(checks, sd: SideData, se: SideData, m) -> None:
     ck = checks["rclass-support-ideals"]
-    ideals, ideals2 = sd.power.right_ideals(), se.power.right_ideals()
-    by_support: dict[frozenset[int], list[int]] = {}
-    for mask in range(1, sd.full_mask + 1):
-        key = frozenset(sd.green.rclass[x] for x in bits(mask))
-        by_support.setdefault(key, []).append(mask)
-    for group in by_support.values():
-        base = ideals[group[0]]
-        base2 = ideals2[m(group[0])]
-        for other in group[1:]:
-            ok = ideals[other] == base and ideals2[m(other)] == base2
-            ck.count(ok, f"{group[0]:#x} and {other:#x} share R-class support but not ideals")
+    ideals2 = se.power.right_ideals()
+    for group, same in sd.support_groups:
+        first = group[0]
+        base2 = ideals2[m(first)]
+        for other, ok in zip(group[1:], same):
+            ck.count(
+                ok and ideals2[m(other)] == base2, "{:#x} and {:#x} share R-class support but not ideals", first, other
+            )
     ck2 = checks["local-identity-ideal"]
     prod2 = se.power.product_mask
     psi_s = m(sd.full_mask)
@@ -825,7 +867,7 @@ def _ideal_checks(checks, sd: SideData, se: SideData, m) -> None:
         e = se.green.local_identity[s_el]
         ck2.count(
             prod2(1 << s_el, psi_s) == prod2(1 << e, psi_s),
-            f"element {s_el} and its identity {e} translate the image differently",
+            "element {} and its identity {} translate the image differently", s_el, e,
         )
 
 
@@ -840,12 +882,11 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
             shared = ids_a & ids_b
             for alpha in sorted(shared):
                 checks["ep-leq-slice-containment"].count(
-                    bm & dec.components[alpha] & ~am == 0,
-                    f"slice {alpha} of {bm:#x} leaves {am:#x}",
+                    bm & dec.components[alpha] & ~am == 0, "slice {} of {:#x} leaves {:#x}", alpha, bm, am
                 )
             if ids_b <= ids_a:
                 checks["ep-leq-slice-containment"].count(
-                    bm | am == am, f"{bm:#x} supported inside {am:#x} but not contained"
+                    bm | am == am, "{:#x} supported inside {:#x} but not contained", bm, am
                 )
             for omega in sorted(shared):
                 max_in_a = not any(dec.lt(omega, y) for y in ids_a)
@@ -853,7 +894,7 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
                 if max_in_a and max_in_b:
                     checks["ep-leq-top-slice"].count(
                         bm & dec.components[omega] == am & dec.components[omega],
-                        f"top slices at {omega} differ for {am:#x} <= {bm:#x}",
+                        "top slices at {} differ for {:#x} <= {:#x}", omega, am, bm,
                     )
         if len(ids_a) >= 2:
             for alpha in sorted(ids_a):
@@ -867,7 +908,7 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
                         and sd.power.covers(am, reduced, "ep")
                     )
                     checks["drop-nonmaximal-covers"].count(
-                        ok, f"dropping {a} from {am:#x} is not an immediate successor"
+                        ok, "dropping {} from {:#x} is not an immediate successor", a, am
                     )
 
 
@@ -882,7 +923,7 @@ def _cs0_checks(checks, sd: SideData, se: SideData, m, theta: IsoMap) -> None:
         for a in sd.dec.component_elements(alpha):
             img = m(1 << a)
             ok = img.bit_count() == 1 and img & ~target_mask == 0
-            ck.count(ok, f"element {a} of component {alpha} has image {img:#x}")
+            ck.count(ok, "element {} of component {} has image {:#x}", a, alpha, img)
             if not ok:
                 good = False
                 break
@@ -891,14 +932,13 @@ def _cs0_checks(checks, sd: SideData, se: SideData, m, theta: IsoMap) -> None:
             continue
         elems = sd.dec.component_elements(alpha)
         ck.count(
-            sorted(mapping.values()) == sorted(bits(target_mask)),
-            f"component {alpha} does not map onto its target",
+            sorted(mapping.values()) == sorted(bits(target_mask)), "component {} does not map onto its target", alpha
         )
         for a in elems:
             for b in elems:
                 ck.count(
                     mapping[sd.table.table[a][b]] == se.table.table[mapping[a]][mapping[b]],
-                    f"restriction breaks at {a}*{b} in component {alpha}",
+                    "restriction breaks at {}*{} in component {}", a, b, alpha,
                 )
 
 
@@ -913,8 +953,9 @@ def _pair_chain_checks(checks, sd: SideData, m) -> None:
             pair = (1 << a) | (1 << b)
             if pair not in sd.a2:
                 continue
-            ok = m(pair) == (m(1 << a) | m(1 << b)) and m(1 << a).bit_count() == 1
-            ck.count(ok, f"pair {{{a},{b}}} maps to {m(pair):#x}")
+            img = m(pair)
+            ok = img == (m(1 << a) | m(1 << b)) and m(1 << a).bit_count() == 1
+            ck.count(ok, "pair {{{},{}}} maps to {:#x}", a, b, img)
 
 
 def _nonmaximal_checks(checks, sd: SideData, m) -> None:
@@ -924,7 +965,7 @@ def _nonmaximal_checks(checks, sd: SideData, m) -> None:
             if sd.order.maximal[a]:
                 continue
             img = m(1 << a)
-            ck.count(img.bit_count() == 1, f"non-maximal {a} has image {img:#x}")
+            ck.count(img.bit_count() == 1, "non-maximal {} has image {:#x}", a, img)
 
 
 def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, prod2, theta: IsoMap) -> None:
@@ -936,30 +977,26 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
         for beta in range(dec.count):
             if not dec.lt(beta, alpha):
                 continue
-            beta_mask = dec.components[beta]
             for a in dec.component_elements(alpha):
                 img = m(1 << a)
+                sandwiches = sd.sandwiches[a, beta]
                 for s_el in bits(img):
                     pre = minv(1 << s_el)
-                    for bm in _submasks(beta_mask):
-                        lhs = prod(prod(pre, bm), pre)
-                        rhs = prod(prod(1 << a, bm), 1 << a)
+                    for bm, rhs in sandwiches:
                         ck_pre.count(
-                            lhs == rhs,
-                            f"conjugates of {bm:#x} by preimage of {s_el} and by {a} differ",
+                            prod(prod(pre, bm), pre) == rhs,
+                            "conjugates of {:#x} by preimage of {} and by {} differ", bm, s_el, a,
                         )
                 for t_el in bits(se.dec.components[theta.forward[beta]]):
                     sandwich = prod2(prod2(img, 1 << t_el), img)
                     ck_single.count(
-                        sandwich.bit_count() == 1,
-                        f"image of {a} against {t_el} gives {sandwich:#x}",
+                        sandwich.bit_count() == 1, "image of {} against {} gives {:#x}", a, t_el, sandwich
                     )
             for s_el in bits(se.dec.components[theta.forward[alpha]]):
                 for b in dec.component_elements(beta):
                     sandwich = prod2(prod2(1 << s_el, m(1 << b)), 1 << s_el)
                     ck_single.count(
-                        sandwich.bit_count() == 1,
-                        f"{s_el} against the image of {b} gives {sandwich:#x}",
+                        sandwich.bit_count() == 1, "{} against the image of {} gives {:#x}", s_el, b, sandwich
                     )
     for alpha in sd.zero_components():
         rho_a = rho_partition(dec, alpha)
@@ -973,8 +1010,7 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
                     lhs = am | block_mask == block_mask
                     rhs = m(am) | target_mask == target_mask
                     ck_rho.count(
-                        lhs == rhs,
-                        f"subset {am:#x} of component {alpha}: containment transfers {lhs}->{rhs}",
+                        lhs == rhs, "subset {:#x} of component {}: containment transfers {}->{}", am, alpha, lhs, rhs
                     )
 
 
@@ -991,18 +1027,17 @@ def _rho_checks(checks, sd: SideData, prod, t) -> None:
             for a in block:
                 for am in _submasks(block_mask):
                     for beta in below:
-                        for bm in _submasks(dec.components[beta]):
+                        for bm, rhs in sd.sandwiches[a, beta]:
                             lhs = prod(prod(am, bm), am)
-                            rhs = prod(prod(1 << a, bm), 1 << a)
-                            ck_col.count(lhs == rhs, f"{am:#x}*{bm:#x}*{am:#x} != sandwich by {a}")
+                            ck_col.count(lhs == rhs, "{:#x}*{:#x}*{:#x} != sandwich by {}", am, bm, am, a)
                     for gamma in above:
                         for cm in _submasks(dec.components[gamma]):
                             lhs = prod(prod(cm, am), cm)
                             rhs = prod(prod(cm, 1 << a), cm)
-                            ck_col.count(lhs == rhs, f"{cm:#x}*{am:#x}*{cm:#x} != sandwich of {a}")
+                            ck_col.count(lhs == rhs, "{:#x}*{:#x}*{:#x} != sandwich of {}", cm, am, cm, a)
             for i, a1 in enumerate(block):
                 for a2 in block[i + 1 :]:
                     for beta in below:
                         for b in dec.component_elements(beta):
                             ok = t[a1][b] == t[a2][b] and t[b][a1] == t[b][a2]
-                            ck_tr.count(ok, f"{a1} and {a2} translate {b} differently")
+                            ck_tr.count(ok, "{} and {} translate {} differently", a1, a2, b)

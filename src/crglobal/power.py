@@ -117,9 +117,10 @@ class Power:
                 low = am & -am
                 prods.append(array("H", map(int.__or__, prods[am ^ low], rows[low.bit_length() - 1])))
             size = self.full_mask
+            index = list(range(-1, size)).__getitem__  # mask -> mask - 1
             self._table = CayleyTable(
                 size,
-                tuple(tuple(v - 1 for v in prods[am][1:]) for am in range(1, size + 1)),
+                tuple(tuple(map(index, prods[am][1:])) for am in range(1, size + 1)),
                 tuple("{" + ",".join(self.base.label(e) for e in bits(m)) + "}" for m in range(1, size + 1)),
             )
         return self._table

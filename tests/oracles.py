@@ -8,9 +8,11 @@ trying every permutation, and the small semigroups by trying every table.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations, product
 
 from crglobal.core import CayleyTable
+from crglobal.globaldet import _base_signature, _canon_pair, _neighbourhoods
 
 
 def _in_left_ideal(t, n: int, x: int, y: int) -> bool:
@@ -123,6 +125,40 @@ def oracle_mask(elements) -> int:
 def _first_occurrence(keys) -> tuple[int, ...]:
     seen: dict = {}
     return tuple(seen.setdefault(k, len(seen)) for k in keys)
+
+
+def oracle_refine_once(hoods: list, colors: list[int]) -> list:
+    """One refinement round of :func:`oracle_joint_colors`: each element's
+    colour with the Counter of its neighbour tuples."""
+    get = colors.__getitem__
+    return [
+        (colors[x], frozenset(Counter(zip(colors, map(get, row), map(get, col), flags)).items()))
+        for x, (row, col, flags) in enumerate(hoods)
+    ]
+
+
+def oracle_joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]:
+    """The joint colour refinement of the isomorphism search, each
+    neighbourhood kept as a Counter of (colour of y, colour of x*y, colour of
+    y*x, flags) tuples: the reference for the search's integer keys.  It
+    starts from the search's own base signatures and neighbourhood rows."""
+    same = a.table == b.table
+    basea = _base_signature(a)
+    ca, cb = _canon_pair(basea, basea if same else _base_signature(b))
+    if sorted(ca) != sorted(cb):
+        return ca, cb
+    ha = _neighbourhoods(a)
+    hb = ha if same else _neighbourhoods(b)
+    count = len(set(ca))
+    while True:
+        rawa = oracle_refine_once(ha, ca)
+        ca, cb = _canon_pair(rawa, rawa if same else oracle_refine_once(hb, cb))
+        if sorted(ca) != sorted(cb):
+            return ca, cb
+        new_count = len(set(ca))
+        if new_count == count:
+            return ca, cb
+        count = new_count
 
 
 def oracle_power_green(s: CayleyTable) -> tuple[tuple[int, ...], ...]:

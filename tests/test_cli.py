@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
+from test_acceptance import VERIFY_DIGESTS
 
 from crglobal import families
-from crglobal.cli import main, parse_table_text, table_to_json
+from crglobal.cli import build_parser, main, parse_table_text, table_to_json
 from crglobal.globaldet import Record
 from crglobal.verify import records_to_json_lines
 
@@ -43,6 +45,13 @@ def test_analyze_trivial(tmp_path, capsys):
     path = write(tmp_path, "t.txt", "1\n0\n")
     assert main(["analyze", path]) == 0
     assert "order: 1" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    path = write(tmp_path, "t.txt", "1\n0\n")
+    for _ in range(3):
+        assert main(["analyze", path]) == 0
+    assert build_parser.cache_info().misses == 1
 
 
 def test_analyze_non_associative(tmp_path, capsys):
@@ -139,7 +148,7 @@ def test_globaliso_left_zero_pair(tmp_path, capsys):
     assert main(["globaliso", path, path, "--emit-eta", eta_path]) == 0
     out = capsys.readouterr().out
     assert out.count("psi ") >= 2
-    etas = json.loads(open(eta_path).read())
+    etas = json.loads(Path(eta_path).read_text())
     assert len(etas) == 6
     assert all(sorted(e["eta"]) == [0, 1] for e in etas)
 
@@ -235,7 +244,7 @@ def test_cli_stdout_digests(tmp_path, capsys, cr6):
 def test_corpus_export_round_trip(tmp_path, capsys):
     out_dir = str(tmp_path / "corpus")
     assert main(["corpus", "--out", out_dir, "--profile", "quick"]) == 0
-    reloaded = parse_table_text(open(f"{out_dir}/clifford-3.json").read())
+    reloaded = parse_table_text(Path(out_dir, "clifford-3.json").read_text())
     assert reloaded.table == dict(families.corpus("quick"))["clifford-3"].table
 
 
@@ -262,6 +271,26 @@ def test_env_malformed_bound_is_operational_error(monkeypatch, tmp_path, capsys)
     monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "x" * 100_000)
     assert main(["breakable", path]) == 2
     assert_one_line_error(capsys)
+
+
+def test_env_malformed_bound_leaves_other_commands_alone(monkeypatch, tmp_path, capsys):
+    # only breakable and globaliso read the bound, and only when --max-order
+    # is not given
+    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
+    monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "abc")
+    assert main(["verify", "--profile", "quick"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == VERIFY_DIGESTS["quick"]
+    assert captured.err == "checks: 5119  failed: 0\n"
+    for argv in (["--help"], ["corpus", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: crglobal") and captured.err == ""
+    path = write(tmp_path, "l2.txt", table_text(families.left_zero(2)))
+    assert main(["breakable", path, "--max-order", "2"]) == 0
+    assert main(["globaliso", path, path, "--max-order", "2"]) == 0
 
 
 def test_records_serialize_as_sorted_json_of_their_fields():

@@ -1,12 +1,13 @@
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import weakref
 from collections import Counter
 
 import pytest
-from oracles import oracle_automorphism_count, oracle_is_isomorphism, oracle_power_rows
+from oracles import oracle_automorphism_count, oracle_is_isomorphism, oracle_joint_colors, oracle_power_rows, oracle_refine_once
 
 from crglobal import families, globaldet, verify
 from crglobal.breakable import enumerate_a2bar_masks
@@ -135,6 +136,67 @@ def test_monoid_power_self_pair_is_small(named, name, monkeypatch):
     monkeypatch.setattr(globaldet, "MAX_NODES", 1000)
     p = power_table(named[name])
     assert len(find_isomorphisms(p, p, kind="subsets")) == 6
+
+
+def test_joint_colors_match_the_counter_reference(cr5):
+    # integer keys split and number the colours exactly as Counters of
+    # neighbour tuples do: relabelled and self pairs, then same-order pairs
+    # that are not isomorphic, each as tables and as power tables
+    pairs = []
+    for k, (_, s) in enumerate(cr5):
+        perm = list(range(s.order))
+        random.Random(k).shuffle(perm)
+        t = relabel(s, perm)
+        pairs += [(s, t), (s, s), (power_table(s), power_table(t))]
+    for (_, a), (_, b) in itertools.combinations(cr5, 2):
+        if a.order == b.order:
+            pairs += [(a, b), (power_table(a), power_table(b))]
+    splits = 0
+    for a, b in pairs:
+        ca, cb = globaldet._joint_colors(a, b)
+        assert (ca, cb) == oracle_joint_colors(a, b), (a.table, b.table)
+        splits += sorted(ca) != sorted(cb)
+    assert splits > 0
+    # one round from seeded colourings, which need not be stable, so that
+    # keys of neighbours with unequal products must differ
+    rng = random.Random(0)
+    for a, _ in pairs:
+        hoods = globaldet._neighbourhoods(a)
+        for m in (2, 3, 5):
+            colors = [rng.randrange(m) for _ in range(a.order)]
+            m = max(colors) + 1
+            new = globaldet._refine_once(hoods, colors, m)
+            assert globaldet._canon_pair(new, new) == globaldet._canon_pair(*[oracle_refine_once(hoods, colors)] * 2)
+
+
+def test_refine_keys_tell_apart_nearby_neighbourhoods():
+    # elements 0 and 1 share a colour; each pair of neighbourhoods below
+    # differs from a fixed one at one neighbour, or in the products of two
+    # neighbours, and the two elements must get one refined colour exactly
+    # when their multisets of neighbour tuples agree
+    colors = [0, 0, 1, 2]
+    n = len(colors)
+    base = ([3, 2, 1, 0], [1, 3, 0, 2], [5, 0, 9, 3])
+
+    def hood(edits):
+        row, col, flags = (list(v) for v in base)
+        for y, (a, b, f) in edits.items():
+            row[y], col[y], flags[y] = a, b, f
+        return row, col, flags
+
+    def tuples(h):
+        row, col, flags = h
+        return Counter(zip(colors, [colors[p] for p in row], [colors[p] for p in col], flags))
+
+    groups = [[{y: (a, b, f)} for a in range(n) for b in range(n) for f in (0, 1, 8, 15)] for y in range(n)]
+    for y, z in itertools.combinations(range(n), 2):
+        groups.append([{y: (a, base[1][y], 0), z: (c, base[1][z], 0)} for a in range(n) for c in range(n)])
+        groups.append([{y: (base[0][y], a, 0), z: (base[0][z], c, 0)} for a in range(n) for c in range(n)])
+    for group in groups:
+        for e1, e2 in itertools.combinations(group, 2):
+            h1, h2 = hood(e1), hood(e2)
+            first, second = globaldet._refine_once([h1, h2], colors, 3)
+            assert (first == second) == (tuples(h1) == tuples(h2)), (e1, e2)
 
 
 def test_automorphism_counts_match_brute_force(cr5):
@@ -502,6 +564,36 @@ def test_statement_suite_vacuous_statements_have_zero_instances(named):
     assert by_name["rigid-top-two-group"].instances > 0
 
 
+# Subset maps that are bijections but not power isomorphisms: the lift of an
+# element isomorphism S -> pi(S) with the images of two masks of one component
+# of S swapped.  Rows: (member, pi, the two masks, sha256 of the repr of the
+# (check, instances, ok, witness) tuples of the suite's records, measured
+# while every witness was still formatted eagerly).  Together they make ten
+# statements fail.
+BROKEN_PSIS = [
+    ("rb22-over-lz2", [5, 4, 3, 2, 1, 0], 0x4, 0x18, "4e94ff416841dee1245898fc6047b277d4ea8b2ad84153939a6deaf04ce5f8c0"),
+    ("rb22-over-zero", [1, 0, 4, 2, 3], 0x2, 0xC, "2c86f0e857c7c4ed7515fd0c07917ee759e3744e6ae1f9f7e24f9543f69751ab"),
+    ("lz3-monoid", [2, 3, 0, 1], 0x1, 0x3, "2ad93b3941128182b753fe6e8f646d35d114937ad59107032e9dceeee2c3a221"),
+    ("z2-over-lz2", [3, 1, 0, 2], 0x1, 0x3, "d675220186bddcbe4726c3ad940d787514fb2f3bee85dd695f9f4d597e77868f"),
+]
+
+
+@pytest.mark.parametrize("name, perm, m1, m2, digest", BROKEN_PSIS, ids=[row[0] for row in BROKEN_PSIS])
+def test_statement_suite_records_on_a_broken_map(named, name, perm, m1, m2, digest):
+    s = named[name]
+    t = relabel(s, perm)
+    assert any((m1 | m2) & ~comp == 0 for comp in decompose(s).components)
+    forward = list(lift(find_isomorphisms(s, t)[0]).forward)
+    forward[m1 - 1], forward[m2 - 1] = forward[m2 - 1], forward[m1 - 1]
+    psi = IsoMap("subsets", tuple(forward), globaldet._invert(forward), verified=True)
+    records = verify_statement_suite(s, t, psi)
+    assert [r.check for r in records] == list(STATEMENT_IDS)
+    assert any(not r.ok for r in records)
+    assert all(r.ok == (r.witness is None) for r in records)
+    rows = [(r.check, r.instances, r.ok, r.witness) for r in records]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, rows
+
+
 def test_no_power_iso_between_distinct_globals():
     z2 = families.cyclic_group(2)
     l2 = families.left_zero(2)
@@ -530,12 +622,27 @@ def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
         suites.append((s, s2, psi, records))
         return records
 
+    # the per-table data of the checks that run once per map
+    watched = {getattr(globaldet.SideData, name).func.__code__: name for name in ("support_groups", "sandwiches")}
+    builds = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            builds[watched[frame.f_code], frame.f_locals["self"].table] += 1
+
     monkeypatch.setattr(globaldet, "_a3_shape_checks", counting_shape_checks)
     monkeypatch.setattr(verify, "verify_statement_suite", recording_suite)
-    global_sweep(members)
+    sys.setprofile(profile)
+    try:
+        global_sweep(members)
+    finally:
+        sys.setprofile(None)
     sides = {s for _, s in members}
     assert len(suites) > len(sides)
     assert len(shape_runs) == len(set(shape_runs)) == len(sides)
+    assert set(builds.values()) == {1}, builds
+    assert {t for name, t in builds if name == "support_groups"} == {s for s, _, _, _ in suites}
+    assert {t for name, t in builds if name == "sandwiches"} <= sides
     for s, s2, psi, records in suites:
         assert verify_statement_suite(fresh(s), fresh(s2), psi) == records
 
