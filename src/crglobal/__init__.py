@@ -34,6 +34,7 @@ from .globaldet import (
     Record,
     RhoPartition,
     STATEMENT_IDS,
+    Transfer,
     construct_eta,
     extract_theta,
     find_isomorphisms,

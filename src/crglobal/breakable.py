@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import CayleyTable, Subset, bits, derived, green_relations, is_subsemigroup_mask, mask_of
 from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
-from .power import MAX_ORDER, Power, positions
+from .power import MAX_ORDER, Power, positions, power_of
 from .structure import decompose, id_set_mask
 
 TWO_GROUP_TOP = "two-group-top"
@@ -40,10 +40,14 @@ def satisfies_an_mask(s: CayleyTable, mask: int, n: int) -> bool:
     """All length-``n`` products over the subset land among their own factors."""
     if not is_subsemigroup_mask(s, mask):
         raise NotSubsemigroupError("the product condition is defined for subsemigroups")
-    t = s.table
-    elems = tuple(bits(mask))
     if n < 2:
         raise ValueError("the condition starts at length 2")
+    return _products_among_factors(s.table, mask, n)
+
+
+def _products_among_factors(t, mask: int, n: int) -> bool:
+    # the scan of satisfies_an_mask, for a mask already known to be closed
+    elems = tuple(bits(mask))
 
     def scan(prefix_product: int, allowed: int, depth: int) -> bool:
         if depth == n:
@@ -61,18 +65,18 @@ def satisfies_an_mask(s: CayleyTable, mask: int, n: int) -> bool:
 def enumerate_a3_masks(s: CayleyTable) -> list[int]:
     if s.order > MAX_ORDER:
         raise OrderTooLargeError(f"order {s.order} exceeds the subset-scan bound {MAX_ORDER}")
-    out = []
-    for m in range(1, 1 << s.order):
-        if is_subsemigroup_mask(s, m) and satisfies_an_mask(s, m, 3):
-            out.append(m)
-    return out
+    # A is closed exactly when A*A lies inside A
+    squares = power_of(s).squares()
+    t = s.table
+    return [m for m in range(1, 1 << s.order) if squares[m] | m == m and _products_among_factors(t, m, 3)]
 
 
 @derived
 def enumerate_a2_masks(s: CayleyTable) -> list[int]:
     """The pair-condition subsemigroups, filtered from the triple-condition
     ones: ab in {a, b} gives abc in {ab, c}, inside {a, b, c}."""
-    return [m for m in enumerate_a3_masks(s) if satisfies_an_mask(s, m, 2)]
+    t = s.table
+    return [m for m in enumerate_a3_masks(s) if _products_among_factors(t, m, 2)]
 
 
 @derived

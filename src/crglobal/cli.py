@@ -26,7 +26,8 @@ from .breakable import (
 from .core import CayleyTable, bits, green_relations, idempotents, is_completely_regular, is_completely_simple, natural_order, validate_table
 from .errors import FalsificationError, SemigroupError
 from .families import corpus
-from .globaldet import construct_eta, extract_theta, power_of, verify_statement_suite
+from .globaldet import construct_eta, power_of, verify_statement_suite
+from .power import check_green_order
 from .structure import decompose
 from .verify import collect_psis, records_to_json_lines, run_all, summarize
 
@@ -147,6 +148,8 @@ def cmd_globaliso(args) -> int:
             raise SemigroupError("both inputs must be completely regular")
         if t.order > max_order:
             raise SemigroupError(f"order {t.order} exceeds --max-order {max_order}")
+        # the suite's power-Green statements would refuse it after the search
+        check_green_order(t.order)
     psis = collect_psis(s, s2, args.limit)
     if not psis:
         print("no power-semigroup isomorphism found")
@@ -156,22 +159,20 @@ def cmd_globaliso(args) -> int:
     failures = 0
     for k, psi in enumerate(psis):
         try:
-            theta = extract_theta(psi, dec_a, dec_b)
-            eta = construct_eta(psi, dec_a, dec_b)
+            transfer = construct_eta(psi, dec_a, dec_b)
         except FalsificationError as exc:
             print(f"psi {k}: FALSIFIED: {exc}")
             failures += 1
             continue
-        suite = verify_statement_suite(s, s2, psi)
+        suite = verify_statement_suite(s, s2, psi, transfer.theta)
         bad = [rec for rec in suite if not rec.ok]
         status = "all-pass" if not bad else f"{len(bad)} failing statements"
-        print(
-            f"psi {k}: component map {list(theta.forward)}, eta {list(eta.forward)}, suite {status}"
-        )
+        eta = list(transfer.eta.forward)
+        print(f"psi {k}: component map {list(transfer.theta.forward)}, eta {eta}, suite {status}")
         for rec in bad:
             print(f"  FAIL {rec.check}: {rec.witness}")
             failures += 1
-        etas.append({"psi": k, "eta": list(eta.forward)})
+        etas.append({"psi": k, "eta": eta})
     if args.emit_eta:
         with open(args.emit_eta, "w", encoding="utf-8") as fh:
             json.dump(etas, fh, sort_keys=True)

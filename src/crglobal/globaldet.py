@@ -26,7 +26,7 @@ from .errors import (
     ThetaNotSingletonError,
     WrongComponentKindError,
 )
-from .power import Power, positions
+from .power import positions, power_of
 from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, id_set_mask
 
 
@@ -62,10 +62,6 @@ def verify_morphism(a: CayleyTable, b: CayleyTable, forward) -> bool:
 
 def psi_image_mask(psi: IsoMap, mask: int) -> int:
     return psi.forward[mask - 1] + 1
-
-
-def psi_preimage_mask(psi: IsoMap, mask: int) -> int:
-    return psi.inverse[mask - 1] + 1
 
 
 # -- invariant colouring and backtracking search ----------------------------
@@ -113,25 +109,67 @@ def _canon_pair(rawa: list, rawb: list) -> tuple[list[int], list[int]]:
     return ca, cb
 
 
+# tables up to this order keep their neighbourhoods as bytes: every element
+# index, and so every colour, fits in one byte
+BYTE_ORDER = 256
+# a byte that is 0 turns into one flag bit, any other byte into 0
+_ZERO_TO_FLAG = {bit: bytes([bit]) + bytes(255) for bit in (8, 4, 2, 1)}
+
+
 @derived
 def _neighbourhoods(t: CayleyTable) -> list:
     """Per element x: the row x*y, the column y*x, and for each y four bits
-    telling whether x*y == x, x*y == y, y*x == x and y*x == y."""
+    telling whether x*y == x, x*y == y, y*x == x and y*x == y.
+
+    Up to ``BYTE_ORDER`` elements each of the three is a ``bytes``, and the
+    flags of all pairs come from four whole-table passes: a product equals
+    x or y exactly where XOR against the table of x's or of y's is 0.
+    """
     tbl = t.table
+    if t.order > BYTE_ORDER:
+        out = []
+        for x, (row, col) in enumerate(zip(tbl, zip(*tbl))):
+            flags = [
+                8 * (xy == x) + 4 * (xy == y) + 2 * (yx == x) + (yx == y)
+                for y, (xy, yx) in enumerate(zip(row, col))
+            ]
+            out.append((row, col, flags))
+        return out
+    n = t.order
+    rows = [bytes(row) for row in tbl]
+    cols = [bytes(col) for col in zip(*tbl)]
+    prods = int.from_bytes(b"".join(rows), "big")
+    transposed = int.from_bytes(b"".join(cols), "big")
+    xs = int.from_bytes(b"".join(bytes([x]) * n for x in range(n)), "big")
+    ys = int.from_bytes(bytes(range(n)) * n, "big")
+
+    def flag(diff: int, bit: int) -> int:
+        return int.from_bytes(diff.to_bytes(n * n, "big").translate(_ZERO_TO_FLAG[bit]), "big")
+
+    flags = flag(prods ^ xs, 8) | flag(prods ^ ys, 4) | flag(transposed ^ xs, 2) | flag(transposed ^ ys, 1)
+    flags = flags.to_bytes(n * n, "big")
+    return [(row, col, flags[x * n : x * n + n]) for x, (row, col) in enumerate(zip(rows, cols))]
+
+
+def _refine_bytes(hoods: list, colors: list[int]) -> list:
+    # each neighbour y of x as four bytes (c_y, c_xy, c_yx, flags) read as
+    # one int; the sorted keys are x's neighbourhood multiset
+    lookup = bytes(colors).ljust(256, b"\0")
+    keys = bytearray(4 * len(colors))
+    keys[0::4] = bytes(colors)
     out = []
-    for x, row in enumerate(tbl):
-        col = [r[x] for r in tbl]
-        flags = [
-            8 * (xy == x) + 4 * (xy == y) + 2 * (yx == x) + (yx == y)
-            for y, (xy, yx) in enumerate(zip(row, col))
-        ]
-        out.append((row, col, flags))
+    for x, (row, col, flags) in enumerate(hoods):
+        keys[1::4] = row.translate(lookup)
+        keys[2::4] = col.translate(lookup)
+        keys[3::4] = flags
+        out.append((colors[x], tuple(sorted(memoryview(keys).cast("I")))))
     return out
 
 
-def _refine_once(hoods: list, colors: list[int], m: int) -> list:
+def _refine_ints(hoods: list, colors: list[int]) -> list:
     # each neighbour y of x as one int, ((c_y * m + c_xy) * m + c_yx) * 16 + flags,
     # exact for colours below m; the sorted keys are x's neighbourhood multiset
+    m = max(colors) + 1
     cy = [c * m * m * 16 for c in colors]
     cxy = [c * m * 16 for c in colors]
     cyx = [c * 16 for c in colors]
@@ -148,9 +186,10 @@ def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]
     Starting from Green-class sizes and power orders, each round splits a
     colour by the multiset of (colour of y, colour of x*y, colour of y*x,
     which of x*y and y*x equal x or y) over all y, until no colour splits.
-    Each such 4-tuple is encoded as one exact integer over the number of
-    colours in play, so a multiset is a sorted tuple of ints; the encoding
-    is injective, so the partitions and their numbering are those of the
+    Each such 4-tuple is encoded as one exact integer, four bytes up to
+    ``BYTE_ORDER`` elements and an integer over the number of colours in
+    play above, so a multiset is a sorted tuple of ints; both encodings are
+    injective, so the partitions and their numbering are those of the
     tuples themselves.  Sound for pruning because every ingredient is
     isomorphism-invariant.  Stops early once some colour covers different
     numbers of elements in the two tables: refinement only splits colours,
@@ -163,10 +202,11 @@ def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]
         return ca, cb
     ha = _neighbourhoods(a)
     hb = ha if same else _neighbourhoods(b)
+    refine = _refine_bytes if a.order <= BYTE_ORDER else _refine_ints
     count = len(set(ca))
     while True:
-        rawa = _refine_once(ha, ca, count)
-        ca, cb = _canon_pair(rawa, rawa if same else _refine_once(hb, cb, count))
+        rawa = refine(ha, ca)
+        ca, cb = _canon_pair(rawa, rawa if same else refine(hb, cb))
         if sorted(ca) != sorted(cb):
             return ca, cb
         new_count = len(set(ca))
@@ -212,8 +252,9 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
         cand[c].append(j)
     left = [len(m) for m in members]  # unassigned elements per colour, equal on both sides
     ta, tb = a.table, b.table
-    cola = [col for _, col, _ in _neighbourhoods(a)]
-    colb = [col for _, col, _ in _neighbourhoods(b)]
+    # columns as tuples: the byte columns of the colouring are slower to subscript
+    cola = list(zip(*ta))
+    colb = list(zip(*tb))
     fwd = [-1] * n
     back = [-1] * n
     trail: list[int] = []  # assigned elements of a, in assignment order
@@ -309,11 +350,6 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
 def power_table(s: CayleyTable) -> CayleyTable:
     """The power semigroup materialized as a table over mask-1 indices."""
     return power_of(s).table()
-
-
-@derived
-def power_of(s: CayleyTable) -> Power:
-    return Power(s)
 
 
 def lift(phi: IsoMap) -> IsoMap:
@@ -438,8 +474,18 @@ def rho_partition(dec: Decomposition, alpha: int) -> RhoPartition:
 # -- the element map ----------------------------------------------------------
 
 
-def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> IsoMap:
-    """Assemble and verify the element-level isomorphism induced by ``psi``.
+@dataclass(frozen=True)
+class Transfer:
+    """The maps one subset isomorphism transfers to: the component map
+    ``theta`` and the element isomorphism ``eta`` built on it."""
+
+    theta: IsoMap
+    eta: IsoMap
+
+
+def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Transfer:
+    """Assemble and verify the element-level isomorphism induced by ``psi``,
+    returned with the component map extracted on the way.
 
     On components that are neither left nor right zero the subset map already
     sends singletons to singletons and is used directly.  On zero components
@@ -482,7 +528,7 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
                     eta[x] = y
     if not verify_morphism(dec_a.base, dec_b.base, eta):
         raise EtaNotMorphismError("constructed map is not an isomorphism")
-    return IsoMap("elements", tuple(eta), _invert(eta), verified=True)
+    return Transfer(theta, IsoMap("elements", tuple(eta), _invert(eta), verified=True))
 
 
 # -- per-semigroup context for the statement suite ----------------------------
@@ -674,8 +720,14 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def verify_statement_suite(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> list[Record]:
+def verify_statement_suite(
+    s: CayleyTable, s2: CayleyTable, psi: IsoMap, theta: IsoMap | FalsificationError
+) -> list[Record]:
     """Exhaustively instantiate every verified statement against one subset map.
+
+    ``theta`` is the component map that :func:`extract_theta` (through
+    :func:`construct_eta`) gave for ``psi``, or the error it raised, whose
+    text becomes the witness of the statements that need the map.
 
     Returns one record per statement with the number of premise-satisfying
     instances checked; a failing record carries the first witness.  Instances
@@ -685,39 +737,33 @@ def verify_statement_suite(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> list
     sd = side_data(s)
     se = side_data(s2)
     checks = {name: _Check(name) for name in STATEMENT_IDS if name not in MAP_FREE_IDS}
-    m = lambda mask: psi_image_mask(psi, mask)
-    minv = lambda mask: psi_preimage_mask(psi, mask)
+    # image[A] and preimage[A] are the masks of psi(A) and psi^-1(A); index 0 is unused
+    image = [0, *map((1).__add__, psi.forward)]
+    preimage = [0, *map((1).__add__, psi.inverse)]
     prod = sd.power.product_mask
     prod2 = se.power.product_mask
 
-    theta: IsoMap | None = None
-    theta_error = ""
-    try:
-        theta = extract_theta(psi, sd.dec, se.dec)
-    except FalsificationError as exc:
-        theta_error = str(exc)
+    _image_bijections(checks, sd, se, image)
+    _ideal_checks(checks, sd, se, image)
 
-    _image_bijections(checks, sd, se, m)
-    _ideal_checks(checks, sd, se, m)
-
-    if theta is None:
+    if isinstance(theta, FalsificationError):
         for name in (
             "cs0-singleton-restriction",
             "cross-sandwich-singleton",
             "rho-image-transfer",
         ):
-            checks[name].fail(f"component map unavailable: {theta_error}")
+            checks[name].fail(f"component map unavailable: {theta}")
     else:
-        _cs0_checks(checks, sd, se, m, theta)
-        _cross_component_checks(checks, sd, se, m, minv, prod, prod2, theta)
-    _pair_chain_checks(checks, sd, m)
-    _nonmaximal_checks(checks, sd, m)
+        _cs0_checks(checks, sd, se, image, theta)
+        _cross_component_checks(checks, sd, se, image, preimage, prod, prod2, theta)
+    _pair_chain_checks(checks, sd, image)
+    _nonmaximal_checks(checks, sd, image)
 
     shared = map_free_records(s)
     return [shared[name] if name in shared else checks[name].record() for name in STATEMENT_IDS]
 
 
-def _image_bijections(checks, sd: SideData, se: SideData, m) -> None:
+def _image_bijections(checks, sd: SideData, se: SideData, image: list[int]) -> None:
     for name, src, dst in zip(
         ("a3-image-bijection", "a2-image-bijection", "a2bar-image-bijection"),
         sd.class_lists,
@@ -726,7 +772,7 @@ def _image_bijections(checks, sd: SideData, se: SideData, m) -> None:
         ck = checks[name]
         images = set()
         for am in src:
-            img = m(am)
+            img = image[am]
             images.add(img)
             ck.count(img in dst, "image of {:#x} is {:#x}, outside the matched class", am, img)
         ck.count(images == dst, "images cover {} of {} targets", len(images), len(dst))
@@ -850,19 +896,19 @@ def _power_green_checks(checks, sd: SideData) -> None:
             )
 
 
-def _ideal_checks(checks, sd: SideData, se: SideData, m) -> None:
+def _ideal_checks(checks, sd: SideData, se: SideData, image: list[int]) -> None:
     ck = checks["rclass-support-ideals"]
     ideals2 = se.power.right_ideals()
     for group, same in sd.support_groups:
         first = group[0]
-        base2 = ideals2[m(first)]
+        base2 = ideals2[image[first]]
         for other, ok in zip(group[1:], same):
             ck.count(
-                ok and ideals2[m(other)] == base2, "{:#x} and {:#x} share R-class support but not ideals", first, other
+                ok and ideals2[image[other]] == base2, "{:#x} and {:#x} share R-class support but not ideals", first, other
             )
     ck2 = checks["local-identity-ideal"]
     prod2 = se.power.product_mask
-    psi_s = m(sd.full_mask)
+    psi_s = image[sd.full_mask]
     for s_el in range(se.n):
         e = se.green.local_identity[s_el]
         ck2.count(
@@ -873,10 +919,16 @@ def _ideal_checks(checks, sd: SideData, se: SideData, m) -> None:
 
 def _ep_order_checks(checks, sd: SideData, prod) -> None:
     dec = sd.dec
+    rows = sd.power.translate_rows()
     for am in sorted(sd.a2):
         ids_a = sd.idset(am)
-        for bm in sorted(sd.ep):
-            if not (prod(am, bm) == am and prod(bm, am) == am):
+        # A*B = B*A = A needs {b}*A and A*{b} inside A for every b in B
+        inside = 0
+        for b, row in enumerate(rows):
+            if row[am] | am == am and prod(am, 1 << b) | am == am:
+                inside |= 1 << b
+        for bm in sd.power.idempotent_masks():
+            if bm & ~inside or not (prod(am, bm) == am and prod(bm, am) == am):
                 continue
             ids_b = sd.idset(bm)
             shared = ids_a & ids_b
@@ -912,7 +964,7 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
                     )
 
 
-def _cs0_checks(checks, sd: SideData, se: SideData, m, theta: IsoMap) -> None:
+def _cs0_checks(checks, sd: SideData, se: SideData, image: list[int], theta: IsoMap) -> None:
     ck = checks["cs0-singleton-restriction"]
     for alpha in range(sd.dec.count):
         if sd.dec.classification[alpha] != CS0:
@@ -921,7 +973,7 @@ def _cs0_checks(checks, sd: SideData, se: SideData, m, theta: IsoMap) -> None:
         mapping = {}
         good = True
         for a in sd.dec.component_elements(alpha):
-            img = m(1 << a)
+            img = image[1 << a]
             ok = img.bit_count() == 1 and img & ~target_mask == 0
             ck.count(ok, "element {} of component {} has image {:#x}", a, alpha, img)
             if not ok:
@@ -942,7 +994,7 @@ def _cs0_checks(checks, sd: SideData, se: SideData, m, theta: IsoMap) -> None:
                 )
 
 
-def _pair_chain_checks(checks, sd: SideData, m) -> None:
+def _pair_chain_checks(checks, sd: SideData, image: list[int]) -> None:
     ck = checks["pair-chain-image-union"]
     dec = sd.dec
     for a in range(sd.n):
@@ -953,22 +1005,24 @@ def _pair_chain_checks(checks, sd: SideData, m) -> None:
             pair = (1 << a) | (1 << b)
             if pair not in sd.a2:
                 continue
-            img = m(pair)
-            ok = img == (m(1 << a) | m(1 << b)) and m(1 << a).bit_count() == 1
+            img = image[pair]
+            ok = img == (image[1 << a] | image[1 << b]) and image[1 << a].bit_count() == 1
             ck.count(ok, "pair {{{},{}}} maps to {:#x}", a, b, img)
 
 
-def _nonmaximal_checks(checks, sd: SideData, m) -> None:
+def _nonmaximal_checks(checks, sd: SideData, image: list[int]) -> None:
     ck = checks["nonmaximal-singleton-image"]
     for alpha in sd.zero_components():
         for a in sd.dec.component_elements(alpha):
             if sd.order.maximal[a]:
                 continue
-            img = m(1 << a)
+            img = image[1 << a]
             ck.count(img.bit_count() == 1, "non-maximal {} has image {:#x}", a, img)
 
 
-def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, prod2, theta: IsoMap) -> None:
+def _cross_component_checks(
+    checks, sd: SideData, se: SideData, image: list[int], preimage: list[int], prod, prod2, theta: IsoMap
+) -> None:
     ck_pre = checks["preimage-sandwich-transfer"]
     ck_single = checks["cross-sandwich-singleton"]
     ck_rho = checks["rho-image-transfer"]
@@ -978,10 +1032,10 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
             if not dec.lt(beta, alpha):
                 continue
             for a in dec.component_elements(alpha):
-                img = m(1 << a)
+                img = image[1 << a]
                 sandwiches = sd.sandwiches[a, beta]
                 for s_el in bits(img):
-                    pre = minv(1 << s_el)
+                    pre = preimage[1 << s_el]
                     for bm, rhs in sandwiches:
                         ck_pre.count(
                             prod(prod(pre, bm), pre) == rhs,
@@ -994,7 +1048,7 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
                     )
             for s_el in bits(se.dec.components[theta.forward[alpha]]):
                 for b in dec.component_elements(beta):
-                    sandwich = prod2(prod2(1 << s_el, m(1 << b)), 1 << s_el)
+                    sandwich = prod2(prod2(1 << s_el, image[1 << b]), 1 << s_el)
                     ck_single.count(
                         sandwich.bit_count() == 1, "{} against the image of {} gives {:#x}", s_el, b, sandwich
                     )
@@ -1004,11 +1058,11 @@ def _cross_component_checks(checks, sd: SideData, se: SideData, m, minv, prod, p
         comp_mask = dec.components[alpha]
         for a in dec.component_elements(alpha):
             block_mask = mask_of(rho_a.block_containing(a))
-            for s_el in bits(m(1 << a)):
+            for s_el in bits(image[1 << a]):
                 target_mask = mask_of(rho_b.block_containing(s_el))
                 for am in _submasks(comp_mask):
                     lhs = am | block_mask == block_mask
-                    rhs = m(am) | target_mask == target_mask
+                    rhs = image[am] | target_mask == target_mask
                     ck_rho.count(
                         lhs == rhs, "subset {:#x} of component {}: containment transfers {}->{}", am, alpha, lhs, rhs
                     )

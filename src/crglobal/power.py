@@ -13,9 +13,10 @@ are int masks throughout; only :meth:`Power.enumerate_ep` wraps them in
 
 from __future__ import annotations
 
+import sys
 from array import array
 
-from .core import CayleyTable, GreenData, Subset, bits, green_relations
+from .core import CayleyTable, GreenData, Subset, bits, derived, green_relations
 from .errors import (
     EmptySubsetError,
     NotComparableError,
@@ -105,24 +106,34 @@ class Power:
     def table(self) -> CayleyTable:
         """The power semigroup materialized over mask-1 indices, built once.
 
-        The row of A is the row of A without its lowest element, ORed with
-        that element's translate row.
+        Each row is one int of 16-bit lanes, lane B holding the mask of A*B:
+        the row of A is the row of A without its lowest element ORed with
+        that element's translate row.  Subtracting a lane of ones turns masks
+        into indices without a borrow, since a product of nonempty subsets
+        is nonempty.
         """
         if self._table is None:
             if self.full_mask > MAX_TABLE_SIZE:
                 raise OrderTooLargeError(f"power semigroup has {self.full_mask} elements, bound is {MAX_TABLE_SIZE}")
-            rows = self.translate_rows()
-            prods = [array("H", [0]) * (self.full_mask + 1)]
-            for am in range(1, self.full_mask + 1):
-                low = am & -am
-                prods.append(array("H", map(int.__or__, prods[am ^ low], rows[low.bit_length() - 1])))
             size = self.full_mask
-            index = list(range(-1, size)).__getitem__  # mask -> mask - 1
-            self._table = CayleyTable(
-                size,
-                tuple(tuple(map(index, prods[am][1:])) for am in range(1, size + 1)),
-                tuple("{" + ",".join(self.base.label(e) for e in bits(m)) + "}" for m in range(1, size + 1)),
-            )
+            order = sys.byteorder  # the byte order of array("H")
+            translates = [int.from_bytes(row, order) for row in self.translate_rows()]
+            lanes = [0]
+            for am in range(1, size + 1):
+                low = am & -am
+                lanes.append(lanes[am ^ low] | translates[low.bit_length() - 1])
+            # lane 0, the empty mask, is 0 in every row and is dropped
+            ones = int.from_bytes(array("H", [0] + [1] * size), order)
+            width = 2 * (size + 1)
+            # entries above 256, past CPython's shared small ints, are read
+            # from one list so that equal entries share one int object
+            shared = list(range(size)).__getitem__ if size > 257 else None
+            rows = []
+            for lane in lanes[1:]:
+                row = array("H")
+                row.frombytes((lane - ones).to_bytes(width, order))
+                rows.append(tuple(map(shared, row[1:]) if shared else row[1:]))
+            self._table = CayleyTable(size, tuple(rows))
         return self._table
 
     def check_mask(self, m: int) -> int:
@@ -224,9 +235,20 @@ class Power:
     def power_green(self) -> GreenData:
         """Green classes over every nonempty subset, indexed by mask - 1:
         :func:`green_relations` of the materialized power table."""
-        if self.n > MAX_GREEN_ORDER:
-            raise OrderTooLargeError(f"order {self.n} exceeds the power-Green bound {MAX_GREEN_ORDER}")
+        check_green_order(self.n)
         return green_relations(self.table())
+
+
+def check_green_order(n: int) -> None:
+    """Refuse a base above the order at which :meth:`Power.power_green` runs."""
+    if n > MAX_GREEN_ORDER:
+        raise OrderTooLargeError(f"order {n} exceeds the power-Green bound {MAX_GREEN_ORDER}")
+
+
+@derived
+def power_of(s: CayleyTable) -> Power:
+    """The power semigroup of ``s``, built once per table instance."""
+    return Power(s)
 
 
 def positions(vector: array, value: int):

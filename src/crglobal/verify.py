@@ -37,6 +37,7 @@ from .globaldet import (
     Record,
     STATEMENT_IDS,
     construct_eta,
+    extract_theta,
     find_isomorphisms,
     is_singleton_preserving,
     lift,
@@ -235,7 +236,8 @@ def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> list[IsoMap
 def global_sweep(members) -> SweepResult:
     """Run the whole pipeline over every same-order pair of members: collect
     subset isomorphisms, build the element map (which extracts the component
-    map first), and run the statement suite per isomorphism."""
+    map first), and run the statement suite per isomorphism on that
+    component map."""
     records: list[Record] = []
     coverage: Counter = Counter()
     psi_total = 0
@@ -268,14 +270,20 @@ def global_sweep(members) -> SweepResult:
                 pscope = f"{scope}#psi{k}"
                 theta_witness = eta_witness = None
                 try:
-                    etas[(name_a, name_b, k)] = construct_eta(psi, dec_a, dec_b)
+                    transfer = construct_eta(psi, dec_a, dec_b)
+                    theta = transfer.theta
+                    etas[(name_a, name_b, k)] = transfer.eta
                 except ThetaNotSingletonError as exc:
+                    theta = exc
                     theta_witness = eta_witness = str(exc)
                 except FalsificationError as exc:
+                    # the element map failed after the component map was
+                    # extracted; only this failure extracts it a second time
+                    theta = extract_theta(psi, dec_a, dec_b)
                     eta_witness = str(exc)
                 records.append(Record("theta-extraction", pscope, 1, theta_witness is None, theta_witness))
                 records.append(Record("eta-construction", pscope, 1, eta_witness is None, eta_witness))
-                for rec in verify_statement_suite(s, s2, psi):
+                for rec in verify_statement_suite(s, s2, psi, theta):
                     coverage[rec.check] += rec.instances
                     records.append(Record(rec.check, pscope, rec.instances, rec.ok, rec.witness))
     return SweepResult(records, psi_total, nonsingleton, coverage, etas)

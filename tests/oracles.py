@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import permutations, product
 
 from crglobal.core import CayleyTable
-from crglobal.globaldet import _base_signature, _canon_pair, _neighbourhoods
+from crglobal.globaldet import _base_signature, _canon_pair
 
 
 def _in_left_ideal(t, n: int, x: int, y: int) -> bool:
@@ -127,6 +127,22 @@ def _first_occurrence(keys) -> tuple[int, ...]:
     return tuple(seen.setdefault(k, len(seen)) for k in keys)
 
 
+def oracle_neighbourhoods(t: CayleyTable) -> list:
+    """Per element x: the row x*y, the column y*x, and the flags
+    8*(x*y == x) + 4*(x*y == y) + 2*(y*x == x) + (y*x == y) for each y, by
+    literal loops over the table."""
+    tbl = t.table
+    rng = range(t.order)
+    return [
+        (
+            [tbl[x][y] for y in rng],
+            [tbl[y][x] for y in rng],
+            [8 * (tbl[x][y] == x) + 4 * (tbl[x][y] == y) + 2 * (tbl[y][x] == x) + (tbl[y][x] == y) for y in rng],
+        )
+        for x in rng
+    ]
+
+
 def oracle_refine_once(hoods: list, colors: list[int]) -> list:
     """One refinement round of :func:`oracle_joint_colors`: each element's
     colour with the Counter of its neighbour tuples."""
@@ -140,15 +156,16 @@ def oracle_refine_once(hoods: list, colors: list[int]) -> list:
 def oracle_joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]:
     """The joint colour refinement of the isomorphism search, each
     neighbourhood kept as a Counter of (colour of y, colour of x*y, colour of
-    y*x, flags) tuples: the reference for the search's integer keys.  It
-    starts from the search's own base signatures and neighbourhood rows."""
+    y*x, flags) tuples: the reference for the search's byte and integer
+    keys.  It starts from the search's own base signatures, and from
+    neighbourhoods built by literal loops."""
     same = a.table == b.table
     basea = _base_signature(a)
     ca, cb = _canon_pair(basea, basea if same else _base_signature(b))
     if sorted(ca) != sorted(cb):
         return ca, cb
-    ha = _neighbourhoods(a)
-    hb = ha if same else _neighbourhoods(b)
+    ha = oracle_neighbourhoods(a)
+    hb = ha if same else oracle_neighbourhoods(b)
     count = len(set(ca))
     while True:
         rawa = oracle_refine_once(ha, ca)

@@ -1,14 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from test_acceptance import VERIFY_DIGESTS
 
-from crglobal import families
+from crglobal import families, verify
 from crglobal.cli import build_parser, main, parse_table_text, table_to_json
-from crglobal.globaldet import Record
+from crglobal.globaldet import Record, extract_theta
 from crglobal.verify import records_to_json_lines
 
 
@@ -167,6 +168,37 @@ def test_globaliso_trivial(tmp_path, capsys):
 def test_globaliso_bound(tmp_path):
     path = write(tmp_path, "l6.txt", table_text(families.left_zero(6)))
     assert main(["globaliso", path, path]) == 2
+
+
+def test_globaliso_refuses_above_the_power_green_bound_before_searching(tmp_path, capsys, monkeypatch):
+    # the statement suite cannot check an order-9 pair, so no search starts
+    def search(*args, **kwargs):
+        raise AssertionError("find_isomorphisms was called")
+
+    monkeypatch.setattr(verify, "find_isomorphisms", search)
+    path = write(tmp_path, "rb33.json", table_to_json("rb33", families.rect_band(3, 3)))
+    assert main(["globaliso", path, path, "--max-order", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 9 exceeds the power-Green bound 8\n"
+
+
+def test_globaliso_extracts_each_component_map_once(tmp_path, capsys, named):
+    # construct_eta hands its component map to the suite and to the report
+    path = write(tmp_path, "lz2-over-zero.json", table_to_json("lz2-over-zero", named["lz2-over-zero"]))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is extract_theta.__code__:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        assert main(["globaliso", path, path]) == 0
+    finally:
+        sys.setprofile(None)
+    maps = capsys.readouterr().out.count("psi ")
+    assert maps > 1 and len(calls) == maps
 
 
 def test_globaliso_rejects_limit_zero(tmp_path, capsys):

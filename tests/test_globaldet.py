@@ -7,7 +7,14 @@ import weakref
 from collections import Counter
 
 import pytest
-from oracles import oracle_automorphism_count, oracle_is_isomorphism, oracle_joint_colors, oracle_power_rows, oracle_refine_once
+from oracles import (
+    oracle_automorphism_count,
+    oracle_is_isomorphism,
+    oracle_joint_colors,
+    oracle_neighbourhoods,
+    oracle_power_rows,
+    oracle_refine_once,
+)
 
 from crglobal import families, globaldet, verify
 from crglobal.breakable import enumerate_a2bar_masks
@@ -139,7 +146,7 @@ def test_monoid_power_self_pair_is_small(named, name, monkeypatch):
 
 
 def test_joint_colors_match_the_counter_reference(cr5):
-    # integer keys split and number the colours exactly as Counters of
+    # byte keys split and number the colours exactly as Counters of
     # neighbour tuples do: relabelled and self pairs, then same-order pairs
     # that are not isomorphic, each as tables and as power tables
     pairs = []
@@ -164,25 +171,40 @@ def test_joint_colors_match_the_counter_reference(cr5):
         hoods = globaldet._neighbourhoods(a)
         for m in (2, 3, 5):
             colors = [rng.randrange(m) for _ in range(a.order)]
-            m = max(colors) + 1
-            new = globaldet._refine_once(hoods, colors, m)
-            assert globaldet._canon_pair(new, new) == globaldet._canon_pair(*[oracle_refine_once(hoods, colors)] * 2)
+            new = globaldet._refine_bytes(hoods, colors)
+            want = oracle_refine_once(oracle_neighbourhoods(a), colors)
+            assert globaldet._canon_pair(new, new) == globaldet._canon_pair(want, want)
+
+
+def test_joint_colors_match_the_counter_reference_on_both_sides_of_the_byte_limit():
+    # P(rect_band(2, 4)) has 255 elements, the most the byte keys take, and
+    # the power table of an order-9 monoid has 511, which take integer keys
+    s = families.rect_band(2, 4)
+    perm = list(range(s.order))
+    random.Random(8).shuffle(perm)
+    big = power_table(families.adjoin_identity(families.left_zero(8)))
+    pairs = [(power_table(s), power_table(relabel(s, perm))), (big, big)]
+    assert [a.order for a, _ in pairs] == [255, 511] and globaldet.BYTE_ORDER == 256
+    for a, b in pairs:
+        ca, cb = globaldet._joint_colors(a, b)
+        assert len(set(ca)) > 1
+        assert (ca, cb) == oracle_joint_colors(a, b), a.order
 
 
 def test_refine_keys_tell_apart_nearby_neighbourhoods():
     # elements 0 and 1 share a colour; each pair of neighbourhoods below
     # differs from a fixed one at one neighbour, or in the products of two
     # neighbours, and the two elements must get one refined colour exactly
-    # when their multisets of neighbour tuples agree
+    # when their multisets of neighbour tuples agree, under either encoding
     colors = [0, 0, 1, 2]
     n = len(colors)
     base = ([3, 2, 1, 0], [1, 3, 0, 2], [5, 0, 9, 3])
 
-    def hood(edits):
+    def hood(edits, encode):
         row, col, flags = (list(v) for v in base)
         for y, (a, b, f) in edits.items():
             row[y], col[y], flags[y] = a, b, f
-        return row, col, flags
+        return encode(row), encode(col), encode(flags)
 
     def tuples(h):
         row, col, flags = h
@@ -192,11 +214,12 @@ def test_refine_keys_tell_apart_nearby_neighbourhoods():
     for y, z in itertools.combinations(range(n), 2):
         groups.append([{y: (a, base[1][y], 0), z: (c, base[1][z], 0)} for a in range(n) for c in range(n)])
         groups.append([{y: (base[0][y], a, 0), z: (base[0][z], c, 0)} for a in range(n) for c in range(n)])
-    for group in groups:
-        for e1, e2 in itertools.combinations(group, 2):
-            h1, h2 = hood(e1), hood(e2)
-            first, second = globaldet._refine_once([h1, h2], colors, 3)
-            assert (first == second) == (tuples(h1) == tuples(h2)), (e1, e2)
+    for refine, encode in ((globaldet._refine_bytes, bytes), (globaldet._refine_ints, list)):
+        for group in groups:
+            for e1, e2 in itertools.combinations(group, 2):
+                h1, h2 = hood(e1, encode), hood(e2, encode)
+                first, second = refine([h1, h2], colors)
+                assert (first == second) == (tuples(h1) == tuples(h2)), (refine.__name__, e1, e2)
 
 
 def test_automorphism_counts_match_brute_force(cr5):
@@ -451,7 +474,7 @@ def test_adjoined_identity_members_force_singleton_images(named):
     assert len(psis) == 6  # the three bottom elements permute freely
     for psi in psis:
         assert is_singleton_preserving(psi, s.order)
-        eta = construct_eta(psi, dec, dec)
+        eta = construct_eta(psi, dec, dec).eta
         assert eta.verified
 
 
@@ -482,7 +505,7 @@ def test_construct_eta_left_zero_all_automorphisms():
     nonsingleton = [p for p in psis if not is_singleton_preserving(p, 2)]
     assert len(nonsingleton) == 4
     for psi in psis:
-        eta = construct_eta(psi, dec, dec)
+        eta = construct_eta(psi, dec, dec).eta
         assert eta.verified and sorted(eta.forward) == [0, 1]
 
 
@@ -490,15 +513,16 @@ def test_construct_eta_equals_phi_on_single_cs0_component():
     rb = families.rect_band(2, 2)
     dec = decompose(rb)
     for phi in find_isomorphisms(rb, rb, limit=8):
-        eta = construct_eta(lift(phi), dec, dec)
+        eta = construct_eta(lift(phi), dec, dec).eta
         assert eta.forward == phi.forward
 
 
 def test_construct_eta_trivial():
     t = families.left_zero(1)
     dec = decompose(t)
-    eta = construct_eta(collect_psis(t, t)[0], dec, dec)
-    assert eta.forward == (0,)
+    transfer = construct_eta(collect_psis(t, t)[0], dec, dec)
+    assert transfer.eta.forward == (0,)
+    assert transfer.theta == extract_theta(collect_psis(t, t)[0], dec, dec)
 
 
 def test_construct_eta_deterministic(named):
@@ -540,6 +564,16 @@ def test_block_choice_independent_of_image_element(cr5):
                     assert len(targets) == 1, (name, a)
 
 
+def run_suite(s, s2, psi):
+    """The statement suite on ``psi`` with the component map extracted from
+    it, or with the error that refused the extraction."""
+    try:
+        theta = extract_theta(psi, decompose(s), decompose(s2))
+    except ThetaNotSingletonError as exc:
+        theta = exc
+    return verify_statement_suite(s, s2, psi, theta)
+
+
 def test_statement_suite_all_pass_and_counts(named):
     pairs = [
         ("left-zero-2", "left-zero-2"),
@@ -550,7 +584,7 @@ def test_statement_suite_all_pass_and_counts(named):
     for na, nb in pairs:
         s, s2 = named[na], named[nb]
         for psi in collect_psis(s, s2, limit=4):
-            records = verify_statement_suite(s, s2, psi)
+            records = run_suite(s, s2, psi)
             assert [r.check for r in records] == list(STATEMENT_IDS)
             assert all(r.ok for r in records), [r for r in records if not r.ok]
 
@@ -558,7 +592,7 @@ def test_statement_suite_all_pass_and_counts(named):
 def test_statement_suite_vacuous_statements_have_zero_instances(named):
     s = named["cyclic-2"]  # one component, nothing comparable
     psi = collect_psis(s, s)[0]
-    by_name = {r.check: r for r in verify_statement_suite(s, s, psi)}
+    by_name = {r.check: r for r in run_suite(s, s, psi)}
     assert by_name["preimage-sandwich-transfer"].instances == 0
     assert by_name["pair-chain-image-union"].instances == 0
     assert by_name["rigid-top-two-group"].instances > 0
@@ -586,7 +620,7 @@ def test_statement_suite_records_on_a_broken_map(named, name, perm, m1, m2, dige
     forward = list(lift(find_isomorphisms(s, t)[0]).forward)
     forward[m1 - 1], forward[m2 - 1] = forward[m2 - 1], forward[m1 - 1]
     psi = IsoMap("subsets", tuple(forward), globaldet._invert(forward), verified=True)
-    records = verify_statement_suite(s, t, psi)
+    records = run_suite(s, t, psi)
     assert [r.check for r in records] == list(STATEMENT_IDS)
     assert any(not r.ok for r in records)
     assert all(r.ok == (r.witness is None) for r in records)
@@ -617,8 +651,8 @@ def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
 
     suites = []
 
-    def recording_suite(s, s2, psi):
-        records = verify_statement_suite(s, s2, psi)
+    def recording_suite(s, s2, psi, theta):
+        records = verify_statement_suite(s, s2, psi, theta)
         suites.append((s, s2, psi, records))
         return records
 
@@ -644,12 +678,12 @@ def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
     assert {t for name, t in builds if name == "support_groups"} == {s for s, _, _, _ in suites}
     assert {t for name, t in builds if name == "sandwiches"} <= sides
     for s, s2, psi, records in suites:
-        assert verify_statement_suite(fresh(s), fresh(s2), psi) == records
+        assert run_suite(fresh(s), fresh(s2), psi) == records
 
 
 def test_transfer_work_is_done_once_per_table_and_map(cr5):
     # each sandwich partition is built once per table instance, and the
-    # component map is extracted by construct_eta and the suite alone
+    # component map is extracted once per map, by construct_eta
     members = [(name, fresh(s)) for name, s in cr5]
     watched = {globaldet.RhoPartition.__init__.__code__: "partitions", extract_theta.__code__: "thetas"}
     runs = Counter()
@@ -667,7 +701,7 @@ def test_transfer_work_is_done_once_per_table_and_map(cr5):
         tag in (LEFT_ZERO, RIGHT_ZERO) for _, s in members for tag in decompose(s).classification
     )
     assert runs["partitions"] == zero_components
-    assert 0 < runs["thetas"] <= 2 * result.psi_total, (runs, result.psi_total)
+    assert runs["thetas"] == result.psi_total > 0, (runs, result.psi_total)
 
 
 def test_search_invariants_are_computed_once_per_table(cr4):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import oracle_dual, oracle_mask, oracle_power_green, oracle_subset_product
+from oracles import oracle_dual, oracle_mask, oracle_power_green, oracle_power_rows, oracle_subset_product
 
 from crglobal import families
 from crglobal.breakable import a2_counterexample, a3_counterexample
@@ -130,6 +130,21 @@ def test_table_bound_admits_order_11_and_refuses_order_12(monkeypatch):
         Power(families.left_zero(11)).table()
     with pytest.raises(OrderTooLargeError):
         Power(families.left_zero(12)).table()
+
+
+def test_table_rows_match_set_products(cr5):
+    # the lane-packed rows against literal set products, then against
+    # product_mask at order 9, where masks no longer fit in one byte
+    for name, s in cr5:
+        assert [list(row) for row in Power(s).table().table] == oracle_power_rows(s), name
+    p = Power(families.rect_band(3, 3))
+    rows = p.table().table
+    size = p.full_mask
+    assert size == 511
+    for am in range(1, size + 1):
+        assert rows[am - 1] == tuple(p.product_mask(am, bm) - 1 for bm in range(1, size + 1)), am
+    # equal entries are one int object, not one object per cell
+    assert len({id(v) for row in rows for v in row}) == len({v for row in rows for v in row})
 
 
 def test_ep_order_examples(named):

@@ -34,4 +34,4 @@ def test_transfer_on_relabelled_copies(case):
     assert len(find_isomorphisms(s, t, limit=10**6)) == oracle_automorphism_count(s), name
     dec_s, dec_t = decompose(s), decompose(t)
     for psi in collect_psis(s, t):
-        assert construct_eta(psi, dec_s, dec_t).verified, name
+        assert construct_eta(psi, dec_s, dec_t).eta.verified, name
