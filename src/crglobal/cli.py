@@ -31,7 +31,6 @@ from .power import check_green_order
 from .structure import decompose
 from .verify import collect_psis, records_to_json_lines, run_all, summarize
 
-ENV_MAX_ORDER = "CRGLOBAL_MAX_ORDER"
 ENV_INJECT = "CRGLOBAL_INJECT"
 
 
@@ -110,10 +109,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_breakable(args) -> int:
-    max_order = _max_order(args.max_order, 12)
     s = load_table(args.path)
-    if s.order > max_order:
-        raise SemigroupError(f"order {s.order} exceeds --max-order {max_order}")
+    if s.order > args.max_order:
+        raise SemigroupError(f"order {s.order} exceeds --max-order {args.max_order}")
     if not is_completely_regular(s):
         raise SemigroupError("input is not completely regular")
     p = power_of(s)
@@ -140,17 +138,16 @@ def cmd_breakable(args) -> int:
 
 
 def cmd_globaliso(args) -> int:
-    max_order = _max_order(args.max_order, 5)
     s = load_table(args.path_a)
     s2 = load_table(args.path_b)
     for t in (s, s2):
         if not is_completely_regular(t):
             raise SemigroupError("both inputs must be completely regular")
-        if t.order > max_order:
-            raise SemigroupError(f"order {t.order} exceeds --max-order {max_order}")
+        if t.order > args.max_order:
+            raise SemigroupError(f"order {t.order} exceeds --max-order {args.max_order}")
         # the suite's power-Green statements would refuse it after the search
         check_green_order(t.order)
-    psis = collect_psis(s, s2, args.limit)
+    _, psis = collect_psis(s, s2, args.limit)
     if not psis:
         print("no power-semigroup isomorphism found")
         return 1
@@ -198,20 +195,6 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def _max_order(given: int | None, default: int) -> int:
-    """The order bound: ``--max-order`` if given, else the environment
-    variable, else ``default``."""
-    if given is not None:
-        return given
-    raw = os.environ.get(ENV_MAX_ORDER)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SemigroupError(f"{ENV_MAX_ORDER} must be an integer, got {reprlib.repr(raw)}") from None
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared after that;
@@ -225,20 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("breakable", help="list subsemigroups with short-product closure")
     p.add_argument("path")
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=int, default=12)
     p.set_defaults(func=cmd_breakable)
 
     p = sub.add_parser("globaliso", help="search power-semigroup isomorphisms and build element maps")
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--limit", type=int, default=8)
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=int, default=5)
     p.add_argument("--emit-eta", default=None)
     p.set_defaults(func=cmd_globaliso)
 
     p = sub.add_parser("verify", help="run the full verification battery over the corpus")
     p.add_argument("--profile", choices=("quick", "full"), default="full")
-    p.add_argument("--seed", type=int, default=0, help="reserved; the battery is deterministic")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corpus", help="export the corpus as JSON table files")

@@ -215,12 +215,14 @@ class SweepResult:
     etas: dict[tuple[str, str, int], IsoMap]
 
 
-def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> list[IsoMap]:
-    """Subset isomorphisms from lifted element maps plus a direct search over
-    the materialized power tables, deduplicated, in discovery order."""
+def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> tuple[list[IsoMap], list[IsoMap]]:
+    """The element isomorphisms, and the subset isomorphisms from lifting them
+    plus a direct search over the materialized power tables, deduplicated, in
+    discovery order."""
+    phis = find_isomorphisms(s, s2, limit=limit)
     psis: list[IsoMap] = []
     seen = set()
-    for phi in find_isomorphisms(s, s2, limit=limit):
+    for phi in phis:
         psi = lift(phi)
         if psi.forward not in seen:
             seen.add(psi.forward)
@@ -230,14 +232,15 @@ def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> list[IsoMap
         if psi.forward not in seen:
             seen.add(psi.forward)
             psis.append(psi)
-    return psis
+    return phis, psis
 
 
 def global_sweep(members) -> SweepResult:
     """Run the whole pipeline over every same-order pair of members: collect
-    subset isomorphisms, build the element map (which extracts the component
-    map first), and run the statement suite per isomorphism on that
-    component map."""
+    element and subset isomorphisms, record for a pair without element
+    isomorphisms that it has no subset isomorphisms either, build the element
+    map (which extracts the component map first), and run the statement suite
+    per subset isomorphism on that component map."""
     records: list[Record] = []
     coverage: Counter = Counter()
     psi_total = 0
@@ -249,18 +252,13 @@ def global_sweep(members) -> SweepResult:
             if s.order != s2.order:
                 continue
             scope = f"{name_a}|{name_b}"
-            psis = collect_psis(s, s2)
+            phis, psis = collect_psis(s, s2)
+            if not phis:
+                # S and T are not isomorphic, so by global determinism
+                # neither are P(S) and P(T)
+                witness = f"{len(psis)} subset isomorphisms found" if psis else None
+                records.append(Record("power-nonisomorphic", scope, 1, not psis, witness))
             if not psis:
-                element_isos = find_isomorphisms(s, s2, limit=1)
-                records.append(
-                    Record(
-                        "no-subset-iso-implies-no-element-iso",
-                        scope,
-                        1,
-                        not element_isos,
-                        None if not element_isos else "element iso exists without a subset iso",
-                    )
-                )
                 continue
             dec_a, dec_b = decompose(s), decompose(s2)
             for k, psi in enumerate(psis):
@@ -304,19 +302,17 @@ def coverage_records(coverage: Counter) -> list[Record]:
 
 def run_all(profile: str = "full", inject_non_cr: bool = False) -> list[Record]:
     """The full verification battery over the deterministic corpus."""
-    members = list(corpus(profile))
     max_order = 4 if profile == "quick" else 6
     sweep_order = 4 if profile == "quick" else 5
-    scan = cr_members(members, max_order)
-    if inject_non_cr:
-        # negative control: smuggle a non-regular table past the filter
-        scan = scan + [("injected-non-cr", NON_CR_INJECTION)]
+    cr = cr_members(corpus(profile), max_order)
+    # negative control: smuggle a non-regular table past the filter
+    scan = cr + [("injected-non-cr", NON_CR_INJECTION)] if inject_non_cr else cr
     records: list[Record] = []
     records.extend(check_a3_equivalence(scan))
-    records.extend(check_a2_equivalence(cr_members(members, max_order)))
-    records.extend(check_structural_forms(cr_members(members, max_order)))
-    records.extend(check_power_h_classes(cr_members(members, max_order)))
-    sweep = global_sweep(cr_members(members, sweep_order))
+    records.extend(check_a2_equivalence(cr))
+    records.extend(check_structural_forms(cr))
+    records.extend(check_power_h_classes(cr))
+    sweep = global_sweep([(name, s) for name, s in cr if s.order <= sweep_order])
     records.extend(sweep.records)
     records.extend(coverage_records(sweep.coverage))
     records.append(

@@ -54,14 +54,17 @@ def test_criterion_4_power_h_classes(cr6):
 
 
 def test_criterion_5_component_map(sweep):
+    nonisomorphic = [r for r in sweep.records if r.check == "power-nonisomorphic"]
     theta_records = [r for r in sweep.records if r.check == "theta-extraction"]
-    bad = [r for r in theta_records if not r.ok]
+    bad = [r for r in nonisomorphic + theta_records if not r.ok]
     ok = not bad and sweep.psi_total >= 20 and sweep.nonsingleton_on_left_zero >= 1
     print(
         f"ACCEPT criterion-5 component maps: {'PASS' if ok else 'FAIL'} "
         f"({sweep.psi_total} subset isomorphisms, "
-        f"{sweep.nonsingleton_on_left_zero} non-singleton-preserving on left zero)"
+        f"{sweep.nonsingleton_on_left_zero} non-singleton-preserving on left zero, "
+        f"{len(nonisomorphic)} non-isomorphic pairs)"
     )
+    assert len(nonisomorphic) == 145
     assert not bad, bad[:5]
     assert sweep.psi_total >= 20
     assert sweep.nonsingleton_on_left_zero >= 1
@@ -120,8 +123,8 @@ def test_criterion_8_order_12_enumeration():
 # sha256 of `verify` stdout per profile; a change that alters the output on
 # purpose updates these digests and says so in CHANGES.md
 VERIFY_DIGESTS = {
-    "full": "70bf226c9f0dbfd14e5893117183e33a2b78188091da1aacdf37bc749ff1187d",
-    "quick": "7ac2b0155dc1e5ca07a1f905e92d5943427e170c63068a310a82ad91497e055c",
+    "full": "6354a9b8a9dc7064678acefbb4af1924a887091a03d1bdae8d3506a15dc2bd6c",
+    "quick": "5010f387a8aa9a5d542949181185fbd185ba5fc4cdf51e4e4207c23e16e8d4af",
 }
 
 

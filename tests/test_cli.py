@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_acceptance import VERIFY_DIGESTS
 
 from crglobal import families, verify
 from crglobal.cli import build_parser, main, parse_table_text, table_to_json
@@ -221,7 +220,7 @@ def test_verify_quick_passes_and_is_deterministic(capsys, monkeypatch):
 
 # sha256 of `verify --profile quick` stdout with CRGLOBAL_INJECT set; a change
 # that alters the output on purpose updates it and says so in CHANGES.md
-INJECTED_QUICK_DIGEST = "601568f7a20adeb566204ad9c0c65bbf4b0fa2e58e22691741faee882de7a5e0"
+INJECTED_QUICK_DIGEST = "e33b969e78dcfc43df063a5be71b8fb78b0f3c7ab83fd6fcb92966b5f9745b3f"
 
 
 def test_verify_injection_fails(capsys, monkeypatch):
@@ -284,36 +283,7 @@ def test_unreadable_path_is_operational_error(capsys):
     assert main(["analyze", "/no/such/file"]) == 2
 
 
-def test_env_overrides_default_bound(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "3")
-    path = write(tmp_path, "rb.txt", table_text(families.rect_band(2, 2)))
-    assert main(["breakable", path]) == 2
-    monkeypatch.delenv("CRGLOBAL_MAX_ORDER")
-    assert main(["breakable", path]) == 0
-
-
-def test_env_malformed_bound_is_operational_error(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "abc")
-    path = write(tmp_path, "l2.txt", table_text(families.left_zero(2)))
-    for argv in (["breakable", path], ["globaliso", path, path]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: CRGLOBAL_MAX_ORDER must be an integer, got 'abc'\n"
-    monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "x" * 100_000)
-    assert main(["breakable", path]) == 2
-    assert_one_line_error(capsys)
-
-
-def test_env_malformed_bound_leaves_other_commands_alone(monkeypatch, tmp_path, capsys):
-    # only breakable and globaliso read the bound, and only when --max-order
-    # is not given
-    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
-    monkeypatch.setenv("CRGLOBAL_MAX_ORDER", "abc")
-    assert main(["verify", "--profile", "quick"]) == 0
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == VERIFY_DIGESTS["quick"]
-    assert captured.err == "checks: 5119  failed: 0\n"
+def test_help_and_max_order(tmp_path, capsys):
     for argv in (["--help"], ["corpus", "--help"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -323,6 +293,18 @@ def test_env_malformed_bound_leaves_other_commands_alone(monkeypatch, tmp_path, 
     path = write(tmp_path, "l2.txt", table_text(families.left_zero(2)))
     assert main(["breakable", path, "--max-order", "2"]) == 0
     assert main(["globaliso", path, path, "--max-order", "2"]) == 0
+    l3 = write(tmp_path, "l3.txt", table_text(families.left_zero(3)))
+    for argv in (["breakable", l3, "--max-order", "2"], ["globaliso", l3, l3, "--max-order", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: order 3 exceeds --max-order 2\n"
+
+
+def test_verify_has_no_seed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_records_serialize_as_sorted_json_of_their_fields():

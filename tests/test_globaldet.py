@@ -30,6 +30,7 @@ from crglobal.errors import (
 )
 from crglobal.globaldet import (
     IsoMap,
+    Record,
     STATEMENT_IDS,
     construct_eta,
     extract_theta,
@@ -45,6 +46,11 @@ from crglobal.globaldet import (
 )
 from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose
 from crglobal.verify import collect_psis, global_sweep
+
+
+def psis_of(s, s2, limit=8):
+    """The subset isomorphisms that ``collect_psis`` finds."""
+    return collect_psis(s, s2, limit)[1]
 
 
 def test_find_isomorphisms_counts():
@@ -321,7 +327,7 @@ def test_lift_refuses_maps_that_are_not_element_maps(named):
         lift(psi)
     c3 = named["clifford-3"]
     dec = decompose(c3)
-    theta = extract_theta(collect_psis(c3, c3)[0], dec, dec)
+    theta = extract_theta(psis_of(c3, c3)[0], dec, dec)
     assert theta.kind == "components"
     with pytest.raises(ValueError, match="lift needs an element map, got a components map"):
         lift(theta)
@@ -341,7 +347,7 @@ def test_lift_is_always_a_power_isomorphism(cr4):
 def test_extract_theta_identity(named):
     c3 = named["clifford-3"]
     dec = decompose(c3)
-    psis = collect_psis(c3, c3)
+    psis = psis_of(c3, c3)
     theta = extract_theta(psis[0], dec, dec)
     assert theta.forward == (0, 1)
     assert theta.verified
@@ -470,7 +476,7 @@ def test_adjoined_identity_members_force_singleton_images(named):
     s = named["lz3-monoid"]
     dec = decompose(s)
     assert dec.classification == ("left-zero", "left-zero")
-    psis = collect_psis(s, s)
+    psis = psis_of(s, s)
     assert len(psis) == 6  # the three bottom elements permute freely
     for psi in psis:
         assert is_singleton_preserving(psi, s.order)
@@ -500,7 +506,7 @@ def test_rho_blocks_commute_with_automorphisms(cr5):
 def test_construct_eta_left_zero_all_automorphisms():
     l2 = families.left_zero(2)
     dec = decompose(l2)
-    psis = collect_psis(l2, l2)
+    psis = psis_of(l2, l2)
     assert len(psis) == 6
     nonsingleton = [p for p in psis if not is_singleton_preserving(p, 2)]
     assert len(nonsingleton) == 4
@@ -520,15 +526,15 @@ def test_construct_eta_equals_phi_on_single_cs0_component():
 def test_construct_eta_trivial():
     t = families.left_zero(1)
     dec = decompose(t)
-    transfer = construct_eta(collect_psis(t, t)[0], dec, dec)
+    transfer = construct_eta(psis_of(t, t)[0], dec, dec)
     assert transfer.eta.forward == (0,)
-    assert transfer.theta == extract_theta(collect_psis(t, t)[0], dec, dec)
+    assert transfer.theta == extract_theta(psis_of(t, t)[0], dec, dec)
 
 
 def test_construct_eta_deterministic(named):
     s = named["tower-z2-lz2-zero"]
     dec = decompose(s)
-    psis = collect_psis(s, s)
+    psis = psis_of(s, s)
     for psi in psis:
         first = construct_eta(psi, dec, dec)
         second = construct_eta(psi, dec, dec)
@@ -555,7 +561,7 @@ def test_block_choice_independent_of_image_element(cr5):
         ]
         if not zero_comps:
             continue
-        for psi in collect_psis(s, s, limit=4):
+        for psi in psis_of(s, s, limit=4):
             for alpha in zero_comps:
                 rho = rho_partition(dec, alpha)
                 for a in dec.component_elements(alpha):
@@ -583,7 +589,7 @@ def test_statement_suite_all_pass_and_counts(named):
     ]
     for na, nb in pairs:
         s, s2 = named[na], named[nb]
-        for psi in collect_psis(s, s2, limit=4):
+        for psi in psis_of(s, s2, limit=4):
             records = run_suite(s, s2, psi)
             assert [r.check for r in records] == list(STATEMENT_IDS)
             assert all(r.ok for r in records), [r for r in records if not r.ok]
@@ -591,7 +597,7 @@ def test_statement_suite_all_pass_and_counts(named):
 
 def test_statement_suite_vacuous_statements_have_zero_instances(named):
     s = named["cyclic-2"]  # one component, nothing comparable
-    psi = collect_psis(s, s)[0]
+    psi = psis_of(s, s)[0]
     by_name = {r.check: r for r in run_suite(s, s, psi)}
     assert by_name["preimage-sandwich-transfer"].instances == 0
     assert by_name["pair-chain-image-union"].instances == 0
@@ -631,8 +637,29 @@ def test_statement_suite_records_on_a_broken_map(named, name, perm, m1, m2, dige
 def test_no_power_iso_between_distinct_globals():
     z2 = families.cyclic_group(2)
     l2 = families.left_zero(2)
-    assert collect_psis(z2, l2) == []
+    assert collect_psis(z2, l2) == ([], [])
     assert find_isomorphisms(power_table(z2), power_table(l2)) == []
+
+
+def test_sweep_records_that_nonisomorphic_pairs_have_nonisomorphic_powers(named):
+    result = global_sweep([("cyclic-2", named["cyclic-2"]), ("left-zero-2", named["left-zero-2"])])
+    [rec] = [r for r in result.records if r.check == "power-nonisomorphic"]
+    assert rec == Record("power-nonisomorphic", "cyclic-2|left-zero-2", 1, True)
+
+
+def test_power_nonisomorphic_record_fails_when_a_subset_map_exists(named, monkeypatch):
+    # negative control: an element search that misses the maps of an
+    # isomorphic pair leaves the power search's maps as counterexamples
+    def no_element_maps(a, b, limit=8, kind="elements"):
+        return [] if kind == "elements" else find_isomorphisms(a, b, limit=limit, kind=kind)
+
+    monkeypatch.setattr(verify, "find_isomorphisms", no_element_maps)
+    result = global_sweep([("cyclic-3", named["cyclic-3"])])
+    [rec] = [r for r in result.records if r.check == "power-nonisomorphic"]
+    assert (rec.scope, rec.ok) == ("cyclic-3|cyclic-3", False)
+    assert rec.witness == f"{result.psi_total} subset isomorphisms found" and result.psi_total > 0
+    # the maps found are still transferred and checked
+    assert len(result.etas) == result.psi_total
 
 
 def fresh(t):
@@ -702,6 +729,24 @@ def test_transfer_work_is_done_once_per_table_and_map(cr5):
     )
     assert runs["partitions"] == zero_components
     assert runs["thetas"] == result.psi_total > 0, (runs, result.psi_total)
+
+
+def test_sweep_runs_one_element_search_per_pair(cr5):
+    # the power-nonisomorphic record reads the element search that
+    # collect_psis ran for the pair; the sweep runs no second one
+    limits = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is find_isomorphisms.__code__ and frame.f_locals["kind"] == "elements":
+            limits.append(frame.f_locals["limit"])
+
+    sys.setprofile(profile)
+    try:
+        global_sweep(cr5)
+    finally:
+        sys.setprofile(None)
+    pairs = sum(s.order == t.order for i, (_, s) in enumerate(cr5) for _, t in cr5[i:])
+    assert len(limits) == pairs and 1 not in limits, (len(limits), pairs)
 
 
 def test_search_invariants_are_computed_once_per_table(cr4):

@@ -33,5 +33,5 @@ def test_transfer_on_relabelled_copies(case):
     t = relabel(s, perm)
     assert len(find_isomorphisms(s, t, limit=10**6)) == oracle_automorphism_count(s), name
     dec_s, dec_t = decompose(s), decompose(t)
-    for psi in collect_psis(s, t):
+    for psi in collect_psis(s, t)[1]:
         assert construct_eta(psi, dec_s, dec_t).eta.verified, name
