@@ -147,6 +147,10 @@ def cmd_globaliso(args) -> int:
             raise SemigroupError(f"order {t.order} exceeds --max-order {args.max_order}")
         # the suite's power-Green statements would refuse it after the search
         check_green_order(t.order)
+    # the eta file is written after the search and the suite, so refuse a
+    # path that cannot be written before either runs
+    if args.emit_eta and (os.path.isdir(args.emit_eta) or not os.path.isdir(os.path.dirname(args.emit_eta) or ".")):
+        raise SemigroupError(f"--emit-eta {reprlib.repr(args.emit_eta)} is not a file in an existing directory")
     _, psis = collect_psis(s, s2, args.limit)
     if not psis:
         print("no power-semigroup isomorphism found")

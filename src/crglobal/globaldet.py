@@ -231,7 +231,16 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
     and only an unassigned product is assigned in turn, so the trail is
     also the work queue.  Branching takes the first unassigned element of
     a colour with the fewest unassigned elements, read from per-colour
-    counts.  An exhausted search returning no map means the tables are not
+    counts.  A dead-end lookahead (forward checking, Haralick & Elliott
+    1980) cuts subtrees that hold no map: the last element w left with no
+    surviving candidate at a branch point is remembered, and a later node
+    where w is still unassigned is cut when no free v of ``b`` in the
+    colour of w has v*f(z) == f(w*z) and f(z)*v == f(z*w) for every
+    assigned z whose product with w is assigned.  That test is an AND of
+    preimage masks of ``b``, each row and column built on first read.
+    Branching and candidate order are untouched, so the maps and their
+    order are those of the search without it; only nodes are saved.
+    An exhausted search returning no map means the tables are not
     isomorphic; running out of ``MAX_NODES`` raises instead, and so does a
     result that fails verification.
     """
@@ -260,6 +269,43 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
     trail: list[int] = []  # assigned elements of a, in assignment order
     results: list[tuple[int, ...]] = []
     nodes = 0
+    # preimages in b, built on first read: col_pre[y][v] masks the w with
+    # w*y == v, row_pre[y][v] the w with y*w == v
+    col_pre: list = [None] * n
+    row_pre: list = [None] * n
+    witness = -1  # the last element found with no surviving candidate
+
+    def preimages(line) -> list[int]:
+        out = [0] * n
+        for w, v in enumerate(line):
+            out[v] |= 1 << w
+        return out
+
+    def dead_end(w: int) -> bool:
+        # m: the free v in the colour of w that agree with every assigned
+        # product of w with an assigned z
+        m = 0
+        for j in cand[ca[w]]:
+            if back[j] < 0:
+                m |= 1 << j
+        rw, cw = ta[w], cola[w]
+        for z in trail:
+            fz = fwd[z]
+            v = fwd[rw[z]]
+            if v >= 0:
+                pre = col_pre[fz]
+                if pre is None:
+                    pre = col_pre[fz] = preimages(colb[fz])
+                m &= pre[v]
+            v = fwd[cw[z]]
+            if v >= 0:
+                pre = row_pre[fz]
+                if pre is None:
+                    pre = row_pre[fz] = preimages(tb[fz])
+                m &= pre[v]
+            if not m:
+                return True
+        return False
 
     def assign(i: int, j: int) -> bool:
         fwd[i] = j
@@ -306,9 +352,11 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
         return True
 
     def dfs() -> None:
-        nonlocal nodes
+        nonlocal nodes, witness
         if len(trail) == n:
             results.append(tuple(fwd))
+            return
+        if witness >= 0 and fwd[witness] < 0 and dead_end(witness):
             return
         fewest = min(c for c in left if c)
         best_i = n
@@ -319,11 +367,13 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
                         best_i = min(best_i, i)
                         break
         mark = len(trail)
+        survived = False
         for j in [j for j in cand[ca[best_i]] if back[j] < 0]:
             nodes += 1
             if nodes > MAX_NODES:
                 raise SearchBudgetExceededError(nodes, n, kind)
             if assign(best_i, j):
+                survived = True
                 dfs()
             for x in trail[mark:]:
                 back[fwd[x]] = -1
@@ -332,6 +382,8 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
             del trail[mark:]
             if len(results) >= limit:
                 return
+        if not survived:
+            witness = best_i
 
     dfs()
     out = []

@@ -8,9 +8,9 @@ map discovery order and record order are all fixed.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .breakable import (
     a2_characterization,
@@ -50,17 +50,19 @@ from .structure import decompose
 
 NON_CR_INJECTION = validate_table([[0, 0], [0, 0]])
 
-_encode = json.JSONEncoder(sort_keys=True).encode
-
 
 def records_to_json_lines(records: list[Record]) -> str:
-    return (
-        "\n".join(
-            _encode({"check": r.check, "scope": r.scope, "instances": r.instances, "ok": r.ok, "witness": r.witness})
-            for r in records
+    """One line per record, as ``json.dumps`` of its fields with sorted keys
+    writes it, formatted directly."""
+    lines = []
+    for r in records:
+        witness = "null" if r.witness is None else _quote(r.witness)
+        ok = "true" if r.ok else "false"
+        lines.append(
+            f'{{"check": {_quote(r.check)}, "instances": {r.instances}, "ok": {ok}, '
+            f'"scope": {_quote(r.scope)}, "witness": {witness}}}'
         )
-        + "\n"
-    )
+    return "\n".join(lines) + "\n"
 
 
 def summarize(records: list[Record]) -> str:

@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import permutations, product
 
 from crglobal.core import CayleyTable
-from crglobal.globaldet import _base_signature, _canon_pair
+from crglobal.globaldet import _base_signature, _canon_pair, _joint_colors
 
 
 def _in_left_ideal(t, n: int, x: int, y: int) -> bool:
@@ -176,6 +176,66 @@ def oracle_joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list
         if new_count == count:
             return ca, cb
         count = new_count
+
+
+def oracle_find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int) -> list[tuple[int, ...]]:
+    """The isomorphism search without the dead-end lookahead: the reference
+    for the maps :func:`find_isomorphisms` returns, and for their order.  It
+    has the search's colours, branching rule and candidate order; each
+    assignment is closed under products by a plain work queue, and nothing
+    else prunes."""
+    if a.order != b.order:
+        return []
+    ca, cb = _joint_colors(a, b)
+    if sorted(ca) != sorted(cb):
+        return []
+    n = a.order
+    ta, tb = a.table, b.table
+    fwd = [-1] * n
+    used = [False] * n
+    trail: list[int] = []
+    results: list[tuple[int, ...]] = []
+
+    def assign(i: int, j: int) -> bool:
+        # i -> j and every product it forces; False on a contradiction
+        queue = [(i, j)]
+        while queue:
+            p, q = queue.pop()
+            if fwd[p] >= 0:
+                if fwd[p] != q:
+                    return False
+                continue
+            if used[q] or cb[q] != ca[p]:
+                return False
+            fwd[p] = q
+            used[q] = True
+            trail.append(p)
+            for z in trail:
+                queue.append((ta[p][z], tb[q][fwd[z]]))
+                queue.append((ta[z][p], tb[fwd[z]][q]))
+        return True
+
+    def dfs() -> None:
+        free = [x for x in range(n) if fwd[x] < 0]
+        if not free:
+            results.append(tuple(fwd))
+            return
+        sizes = Counter(ca[x] for x in free)
+        fewest = min(sizes.values())
+        i = min(x for x in free if sizes[ca[x]] == fewest)
+        mark = len(trail)
+        for j in [j for j in range(n) if cb[j] == ca[i] and not used[j]]:
+            if assign(i, j):
+                dfs()
+            for x in trail[mark:]:
+                used[fwd[x]] = False
+                fwd[x] = -1
+            del trail[mark:]
+            if len(results) >= limit:
+                return
+
+    dfs()
+    return results
 
 
 def oracle_power_green(s: CayleyTable) -> tuple[tuple[int, ...], ...]:

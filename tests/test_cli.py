@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from crglobal import families, verify
+from crglobal import cli, families, verify
 from crglobal.cli import build_parser, main, parse_table_text, table_to_json
 from crglobal.globaldet import Record, extract_theta
 from crglobal.verify import records_to_json_lines
@@ -151,6 +151,21 @@ def test_globaliso_left_zero_pair(tmp_path, capsys):
     etas = json.loads(Path(eta_path).read_text())
     assert len(etas) == 6
     assert all(sorted(e["eta"]) == [0, 1] for e in etas)
+
+
+def test_globaliso_refuses_an_unwritable_eta_path_before_the_search(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "l2.txt", table_text(families.left_zero(2)))
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "collect_psis", no_search)
+    for eta_path in (tmp_path / "missing" / "eta.json", tmp_path):
+        assert main(["globaliso", path, path, "--emit-eta", str(eta_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --emit-eta ") and "is not a file in an existing directory" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l2.txt"]
 
 
 def test_globaliso_distinct_globals(tmp_path, capsys):
@@ -314,7 +329,11 @@ def test_records_serialize_as_sorted_json_of_their_fields():
         Record("escapes", "back\\slash", 1, False, "line one\nline two\t\\"),
         Record("unicode", "ρ-partition", 2, False, "η ≠ φ ∘ ψ, naïve 🙂"),
         Record("none", "", 7, True, None),
+        Record("empty", "", 0, True, ""),
+        Record('check "q" \\ é', 'scope "q"\r\n\\ ∅ \U0001d4ab', 5, False, 'w "q"\\\n\x00\x1f\x7f \u2028 ψ\udcff'),
+        Record("big", "x" * 300, 10**20, True, "\\" * 7 + '"' * 3),
     ]
+    assert records_to_json_lines([]) == "\n"
     lines = records_to_json_lines(records)
     assert lines.endswith("\n")
     assert lines.split("\n")[:-1] == [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in records]

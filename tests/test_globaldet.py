@@ -238,14 +238,22 @@ def test_automorphism_counts_match_brute_force(cr5):
 # the maps it returns, in order).  Propagation order and per-node speed may
 # change freely; a change that prunes on purpose updates the node counts and
 # digests and says so in CHANGES.md.
-PINNED_TREES = [
-    ("rees-z3-2x1", [0, 4, 1, 3, 2, 5], 12893, "ad24eb6d6e1b5be4d9761286800505b7f63f57f21cfcbfaf811050fefae5b6b5"),
-    ("cyclic-5", [2, 3, 4, 0, 1], 422, "7fa3e01f04ab1d2d6b14563d16d8523f2e2612bd5449f0e5f058ae43a800999d"),
-    ("left-zero-5", [2, 3, 4, 0, 1], 49, "8a43bf5d22b48d43c92b8faaa19793dfb40700c4ac6ad874bfd1946e5c2d3d4e"),
-]
+PINNED_TREES = {
+    "rees-z3-2x1": ("rees-z3-2x1", [0, 4, 1, 3, 2, 5], 1676, "ad24eb6d6e1b5be4d9761286800505b7f63f57f21cfcbfaf811050fefae5b6b5"),
+    # among the 720 relabellings, one of the largest trees without the
+    # dead-end lookahead (15,558 nodes)
+    "rees-z3-2x1-deep": (
+        "rees-z3-2x1",
+        [4, 2, 5, 3, 0, 1],
+        2154,
+        "ffae1d6465b4b4e17509c38e828e9ca47158ca7909791bb9b19d89a237667fce",
+    ),
+    "cyclic-5": ("cyclic-5", [2, 3, 4, 0, 1], 422, "7fa3e01f04ab1d2d6b14563d16d8523f2e2612bd5449f0e5f058ae43a800999d"),
+    "left-zero-5": ("left-zero-5", [2, 3, 4, 0, 1], 49, "8a43bf5d22b48d43c92b8faaa19793dfb40700c4ac6ad874bfd1946e5c2d3d4e"),
+}
 
 
-@pytest.mark.parametrize("name, perm, nodes, digest", PINNED_TREES, ids=[row[0] for row in PINNED_TREES])
+@pytest.mark.parametrize("name, perm, nodes, digest", PINNED_TREES.values(), ids=PINNED_TREES.keys())
 def test_power_search_tree_is_pinned(named, monkeypatch, name, perm, nodes, digest):
     s = named[name]
     pa, pb = power_table(s), power_table(relabel(s, perm))
