@@ -6,7 +6,6 @@ from .core import (
     CayleyTable,
     GreenData,
     NaturalOrder,
-    Subset,
     green_relations,
     idempotents,
     is_completely_regular,
@@ -24,8 +23,6 @@ from .breakable import (
     a2_counterexample,
     a3_characterization,
     a3_counterexample,
-    enumerate_a2,
-    enumerate_a3,
     structural_form,
 )
 from .families import canonical_form, corpus, enumerate_small

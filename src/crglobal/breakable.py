@@ -4,16 +4,15 @@ A subsemigroup is breakable when every pair product is one of the two
 factors; the weaker triple condition allows one extra shape, a two-element
 group on top of the chain.  Both classes admit product-level
 characterizations that are scanned by brute force here.  Subsets are int
-masks; :func:`enumerate_a2`, :func:`enumerate_a3` and :func:`structural_form`
-take or give :class:`~crglobal.core.Subset` for the library tour.
+masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable, Subset, bits, derived, green_relations, is_subsemigroup_mask, mask_of
-from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
+from .core import CayleyTable, bits, derived, green_relations, is_subsemigroup_mask, mask_of
+from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
 from .power import MAX_ORDER, Power, positions, power_of
 from .structure import decompose, id_set_mask
 
@@ -28,7 +27,7 @@ class BreakableForm:
     right zero set except possibly the last, which may be a two-element group.
     """
 
-    chunks: tuple[Subset, ...]
+    chunks: tuple[int, ...]
     kinds: tuple[str, ...]
 
     @property
@@ -86,16 +85,9 @@ def enumerate_a2bar_masks(s: CayleyTable) -> list[int]:
     return [m for m in enumerate_a2_masks(s) if len(id_set_mask(m, dec)) == 1]
 
 
-def enumerate_a2(s: CayleyTable) -> list[Subset]:
-    return [Subset(s.order, m) for m in enumerate_a2_masks(s)]
-
-
-def enumerate_a3(s: CayleyTable) -> list[Subset]:
-    return [Subset(s.order, m) for m in enumerate_a3_masks(s)]
-
-
-def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
-    """Chain-of-chunks shape of a subset satisfying the triple condition.
+def structural_form(s: CayleyTable, am: int) -> BreakableForm:
+    """Chain-of-chunks shape of the subset ``am`` satisfying the triple
+    condition, its chunks as masks.
 
     The subset A, viewed as a semigroup of its own, satisfies x*x*x = x, so
     it is completely regular and its D-classes, the chunks, form a chain in
@@ -106,10 +98,7 @@ def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
     would lie in e's chunk, a contradiction.  The right zero case is dual,
     and only the top chunk may be neither.
     """
-    if a.n != s.order:
-        raise ParentMismatchError(f"subset of a size-{a.n} carrier given for an order-{s.order} table")
-    am = a.mask
-    if not (is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)):
+    if not (is_subsemigroup_mask(s, power_of(s).check_mask(am)) and satisfies_an_mask(s, am, 3)):
         raise NotA3Error("structural form needs the triple-product condition")
     t = s.table
     dclass = green_relations(s).dclass
@@ -133,7 +122,7 @@ def structural_form(s: CayleyTable, a: Subset) -> BreakableForm:
             kinds.append(TWO_GROUP_TOP)
         else:
             raise NotA3Error("non-zero chunk off the top of the chain")
-    return BreakableForm(tuple(Subset(s.order, m) for m in ordered), tuple(kinds))
+    return BreakableForm(tuple(ordered), tuple(kinds))
 
 
 def a3_counterexample(p: Power, am: int) -> int | None:

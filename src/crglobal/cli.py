@@ -19,7 +19,7 @@ from .breakable import (
     a3_characterization,
     enumerate_a2_masks,
     enumerate_a2bar_masks,
-    enumerate_a3,
+    enumerate_a3_masks,
     satisfies_an_mask,
     structural_form,
 )
@@ -116,15 +116,14 @@ def cmd_breakable(args) -> int:
         raise SemigroupError("input is not completely regular")
     p = power_of(s)
     a2 = enumerate_a2_masks(s)
-    a3 = enumerate_a3(s)
+    a3 = enumerate_a3_masks(s)
     a2bar = enumerate_a2bar_masks(s)
     print(f"pair-condition subsemigroups: {len(a2)}")
     print(f"triple-condition subsemigroups: {len(a3)}")
     print(f"single-component pair-condition subsemigroups: {len(a2bar)}")
-    for a in a3:
-        am = a.mask
-        form = structural_form(s, a)
-        chunks = " < ".join(f"{_mask_str(s, c.mask)}:{k}" for c, k in zip(form.chunks, form.kinds))
+    for am in a3:
+        form = structural_form(s, am)
+        chunks = " < ".join(f"{_mask_str(s, c)}:{k}" for c, k in zip(form.chunks, form.kinds))
         scan2 = a2_characterization(p, am)
         scan3 = a3_characterization(p, am)
         agree2 = scan2 == satisfies_an_mask(s, am, 2)

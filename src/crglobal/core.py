@@ -2,9 +2,8 @@
 and the natural partial order.
 
 Elements are the indices 0..n-1; a semigroup is just its n x n product table.
-Subsets of the carrier are n-bit int masks; :class:`Subset` pairs one with
-the carrier size where the library tour hands subsets to the user.  Data
-derived from a table is kept on the table instance, see :func:`derived`.
+Subsets of the carrier are n-bit int masks.  Data derived from a table is
+kept on the table instance, see :func:`derived`.
 """
 
 from __future__ import annotations
@@ -36,46 +35,6 @@ class CayleyTable:
 
     def __repr__(self) -> str:
         return f"CayleyTable(order={self.order})"
-
-
-@dataclass(frozen=True)
-class Subset:
-    """Subset of a fixed carrier of size ``n``, stored as a bitmask.
-
-    The library works on bare masks; a ``Subset`` is what ``enumerate_a2``,
-    ``enumerate_a3`` and ``Power.enumerate_ep`` return and what
-    ``structural_form`` takes and returns as chunks.
-    """
-
-    n: int
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for carrier of size {self.n}")
-
-    @classmethod
-    def of(cls, n: int, elements: Iterable[int]) -> "Subset":
-        mask = 0
-        for e in elements:
-            if not 0 <= e < n:
-                raise ValueError(f"element {e} out of range for carrier of size {n}")
-            mask |= 1 << e
-        return cls(n, mask)
-
-    @classmethod
-    def singleton(cls, n: int, element: int) -> "Subset":
-        return cls.of(n, (element,))
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls(n, (1 << n) - 1)
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements()) + "}"
 
 
 def bits(mask: int):

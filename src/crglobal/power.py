@@ -7,8 +7,7 @@ and left ideals S*B are each built once per power semigroup, by doubling over
 the bits of B, and stored as compact arrays (order 12: 12 x 4096 entries).
 Each size bound is a module constant, checked where the structure it protects
 is built.  The order/cover/Green structure is computed on demand.  Subsets
-are int masks throughout; only :meth:`Power.enumerate_ep` wraps them in
-:class:`~crglobal.core.Subset`.
+are int masks throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .core import CayleyTable, GreenData, Subset, bits, derived, green_relations
+from .core import CayleyTable, GreenData, bits, derived, green_relations
 from .errors import (
     EmptySubsetError,
     NotComparableError,
@@ -155,9 +154,6 @@ class Power:
             sq = self.squares()
             self._ep = [m for m in range(1, self.full_mask + 1) if sq[m] == m]
         return self._ep
-
-    def enumerate_ep(self) -> list[Subset]:
-        return [Subset(self.n, m) for m in self.idempotent_masks()]
 
     def ep_leq_mask(self, am: int, bm: int) -> bool:
         if not (self.is_idempotent_mask(am) and self.is_idempotent_mask(bm)):

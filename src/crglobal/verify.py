@@ -15,7 +15,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .breakable import (
     a2_characterization,
     a3_characterization,
-    enumerate_a3,
     enumerate_a3_masks,
     left_zero_subset_masks,
     satisfies_an_mask,
@@ -133,18 +132,18 @@ def check_structural_forms(members) -> list[Record]:
 
 
 def _form_problems(s: CayleyTable):
-    for a in enumerate_a3(s):
-        form = structural_form(s, a)
-        problem = _form_problem(s.table, a.mask, form, satisfies_an_mask(s, a.mask, 2))
-        yield f"subset {a.mask:#x}: {problem}" if problem else None
+    for am in enumerate_a3_masks(s):
+        form = structural_form(s, am)
+        problem = _form_problem(s.table, am, form, satisfies_an_mask(s, am, 2))
+        yield f"subset {am:#x}: {problem}" if problem else None
 
 
 def _form_problem(t, am: int, form, breakable: bool) -> str | None:
     union = 0
     for chunk in form.chunks:
-        if union & chunk.mask:
+        if union & chunk:
             return "chunks overlap"
-        union |= chunk.mask
+        union |= chunk
     if union != am:
         return "chunks do not cover the subset"
     if form.has_group_top == breakable:
@@ -154,12 +153,12 @@ def _form_problem(t, am: int, form, breakable: bool) -> str | None:
             return "group chunk off the top"
     for i, low in enumerate(form.chunks):
         for high in form.chunks[i + 1 :]:
-            for a in bits(low.mask):
-                for b in bits(high.mask):
+            for a in bits(low):
+                for b in bits(high):
                     if t[a][b] != a or t[b][a] != a:
                         return f"absorption fails at ({a},{b})"
     for chunk, kind in zip(form.chunks, form.kinds):
-        elems = list(bits(chunk.mask))
+        elems = list(bits(chunk))
         if kind == "left-zero":
             if any(t[a][b] != a for a in elems for b in elems):
                 return "left zero chunk is not left zero"

@@ -10,7 +10,6 @@ from crglobal.breakable import (
     a2_counterexample,
     a3_characterization,
     a3_counterexample,
-    enumerate_a3,
     enumerate_a2_masks,
     enumerate_a2bar_masks,
     enumerate_a3_masks,
@@ -18,7 +17,7 @@ from crglobal.breakable import (
     satisfies_an_mask,
     structural_form,
 )
-from crglobal.core import CayleyTable, Subset
+from crglobal.core import CayleyTable
 from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
 from crglobal.globaldet import power_of, side_data
 
@@ -53,7 +52,7 @@ def test_enumerate_counts(named):
 
 def test_enumerate_bound():
     with pytest.raises(OrderTooLargeError):
-        enumerate_a3(families.left_zero(17))
+        enumerate_a3_masks(families.left_zero(17))
 
 
 def test_each_enumeration_is_cached_once_per_table(named):
@@ -92,36 +91,35 @@ def test_containment_chain(cr6):
 
 def test_structural_form_clifford(named):
     c3 = named["clifford-3"]
-    form = structural_form(c3, Subset.full(3))
-    assert form.chunks == (Subset.of(3, [0]), Subset.of(3, [1, 2]))
+    form = structural_form(c3, 0b111)
+    assert form.chunks == (0b001, 0b110)
     assert form.kinds == ("left-zero", "two-group-top")
     assert form.has_group_top
-    pair = structural_form(c3, Subset.of(3, [0, 1]))
-    assert pair.chunks == (Subset.of(3, [0]), Subset.of(3, [1]))
+    pair = structural_form(c3, 0b011)
+    assert pair.chunks == (0b001, 0b010)
     assert pair.kinds == ("left-zero", "left-zero")
-    single = structural_form(c3, Subset.singleton(3, 1))
-    assert single.chunks == (Subset.singleton(3, 1),) and not single.has_group_top
+    single = structural_form(c3, 0b010)
+    assert single.chunks == (0b010,) and not single.has_group_top
 
 
 def test_structural_form_rejects_non_a3():
     with pytest.raises(NotA3Error):
-        structural_form(families.cyclic_group(3), Subset.full(3))
+        structural_form(families.cyclic_group(3), 0b111)
 
 
 def test_structural_form_refuses_subsets_of_other_carriers():
-    # a larger carrier would index past the table, a smaller one names
-    # different elements
+    # a mask with a bit past the carrier would index past the table
     z2 = families.cyclic_group(2)
-    for a in (Subset.full(3), Subset.of(1, [0])):
+    for am in (0b111, 0b100, -1):
         with pytest.raises(ParentMismatchError):
-            structural_form(z2, a)
+            structural_form(z2, am)
 
 
 def test_structural_form_group_top_only_without_pair_condition(cr6):
     for name, s in cr6:
         a2 = set(enumerate_a2_masks(s))
         for am in enumerate_a3_masks(s):
-            form = structural_form(s, Subset(s.order, am))
+            form = structural_form(s, am)
             assert form.has_group_top == (am not in a2), (name, am)
 
 
@@ -135,8 +133,7 @@ def test_structural_form_matches_chunk_oracle(corpus_members):
     tables += [oracle_dual(s) for s in tables]
     for s in tables:
         for am in enumerate_a3_masks(s):
-            form = structural_form(s, Subset(s.order, am))
-            assert [c.mask for c in form.chunks] == oracle_chunks(s, am), (s.table, am)
+            assert list(structural_form(s, am).chunks) == oracle_chunks(s, am), (s.table, am)
 
 
 def test_a3_characterization_examples():

@@ -14,7 +14,6 @@ from oracles import (
 
 from crglobal import families
 from crglobal.core import (
-    Subset,
     green_relations,
     is_completely_regular,
     is_completely_simple,
@@ -192,10 +191,3 @@ def test_natural_order_is_partial_order_and_matches_oracle(cr6):
 def test_restrict_rejects_open_subset():
     with pytest.raises(NotSubsemigroupError):
         restrict(families.cyclic_group(4), [1, 2])
-
-
-def test_subset_basics():
-    a = Subset.of(4, [0, 2])
-    assert a.elements() == (0, 2)
-    with pytest.raises(ValueError):
-        Subset(2, 8)

@@ -20,10 +20,6 @@ from crglobal.verify import cr_members
 from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set
 
 
-def masks(subsets):
-    return sorted(s.mask for s in subsets)
-
-
 def test_product_examples():
     l2 = power_of(families.left_zero(2))
     assert l2.product_mask(0b11, 0b01) == 0b11
@@ -104,16 +100,16 @@ def test_idempotent_subset_examples():
 
 
 def test_enumerate_ep_counts(named):
-    assert masks(power_of(families.left_zero(2)).enumerate_ep()) == [1, 2, 3]
-    assert masks(power_of(families.cyclic_group(2)).enumerate_ep()) == [1, 3]
-    assert masks(power_of(families.left_zero(1)).enumerate_ep()) == [1]
-    assert len(power_of(named["clifford-3"]).enumerate_ep()) == 5
+    assert power_of(families.left_zero(2)).idempotent_masks() == [1, 2, 3]
+    assert power_of(families.cyclic_group(2)).idempotent_masks() == [1, 3]
+    assert power_of(families.left_zero(1)).idempotent_masks() == [1]
+    assert len(power_of(named["clifford-3"]).idempotent_masks()) == 5
 
 
 def test_enumerate_ep_bound():
     p = Power(families.left_zero(17))
     with pytest.raises(OrderTooLargeError):
-        p.enumerate_ep()
+        p.idempotent_masks()
 
 
 def test_table_bound_admits_order_11_and_refuses_order_12(monkeypatch):
