@@ -1006,7 +1006,7 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
                     ok = (
                         reduced in sd.a2
                         and sd.power.ep_lt_mask(am, reduced)
-                        and sd.power.covers(am, reduced, "ep")
+                        and sd.power.covers(am, reduced)
                     )
                     checks["drop-nonmaximal-covers"].count(
                         ok, "dropping {} from {:#x} is not an immediate successor", a, am

@@ -163,33 +163,16 @@ class Power:
     def ep_lt_mask(self, am: int, bm: int) -> bool:
         return am != bm and self.ep_leq_mask(am, bm)
 
-    def covers(self, am: int, bm: int, kind: str = "ep") -> bool:
-        """True iff nothing of the given kind sits strictly between A and B.
-
-        kind: "ep" scans all idempotent subsets, "a2" the breakable
-        subsemigroups, "a2bar" the breakable ones supported on one component.
-        """
+    def covers(self, am: int, bm: int) -> bool:
+        """True iff no idempotent subset sits strictly between A and B."""
         if not self.ep_lt_mask(self.check_mask(am), self.check_mask(bm)):
             raise NotComparableError("cover checks need a strictly ordered pair")
-        pool = self._cover_pool(kind)
-        for cm in pool:
+        for cm in self.idempotent_masks():
             if cm in (am, bm):
                 continue
             if self.ep_lt_mask(am, cm) and self.ep_lt_mask(cm, bm):
                 return False
         return True
-
-    def _cover_pool(self, kind: str) -> list[int]:
-        if kind == "ep":
-            return self.idempotent_masks()
-        # imported here to avoid an import cycle with the breakable module
-        from .breakable import enumerate_a2_masks, enumerate_a2bar_masks
-
-        if kind == "a2":
-            return enumerate_a2_masks(self.base)
-        if kind == "a2bar":
-            return enumerate_a2bar_masks(self.base)
-        raise ValueError(f"unknown cover kind {kind!r}")
 
     # -- one-sided ideals and Green structure ------------------------------
 

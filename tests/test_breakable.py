@@ -57,7 +57,7 @@ def test_enumerate_bound():
 
 def test_each_enumeration_is_cached_once_per_table(named):
     # each value is computed once per table instance: count runs of each
-    # body across side_data, the a2 cover pool and the a2bar chain
+    # body across side_data, direct calls and the a2bar chain
     s = named["clifford-3"]
     fresh = CayleyTable(s.order, s.table, s.labels)
     cached = (enumerate_a3_masks, enumerate_a2_masks, enumerate_a2bar_masks, side_data)
@@ -71,8 +71,7 @@ def test_each_enumeration_is_cached_once_per_table(named):
     sys.setprofile(profile)
     try:
         side_data(fresh)
-        power_of(fresh)._cover_pool("a2")
-        power_of(fresh)._cover_pool("a2bar")
+        enumerate_a2_masks(fresh)
         enumerate_a2bar_masks(fresh)
         side_data(fresh)
     finally:
