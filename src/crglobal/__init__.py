@@ -39,6 +39,7 @@ from .globaldet import (
     power_of,
     power_table,
     rho_partition,
+    verify_member_statements,
     verify_morphism,
     verify_statement_suite,
 )

@@ -26,7 +26,7 @@ from .breakable import (
 from .core import CayleyTable, bits, green_relations, idempotents, is_completely_regular, is_completely_simple, natural_order, validate_table
 from .errors import FalsificationError, SemigroupError
 from .families import corpus
-from .globaldet import construct_eta, power_of, verify_statement_suite
+from .globaldet import construct_eta, power_of, verify_member_statements, verify_statement_suite
 from .power import check_green_order
 from .structure import decompose
 from .verify import collect_psis, records_to_json_lines, run_all, summarize
@@ -154,9 +154,14 @@ def cmd_globaliso(args) -> int:
     if not psis:
         print("no power-semigroup isomorphism found")
         return 1
+    failures = 0
+    # the statements that read only S, once for all maps
+    for rec in verify_member_statements(s):
+        if not rec.ok:
+            print(f"FAIL {rec.check}: {rec.witness}")
+            failures += 1
     dec_a, dec_b = decompose(s), decompose(s2)
     etas = []
-    failures = 0
     for k, psi in enumerate(psis):
         try:
             transfer = construct_eta(psi, dec_a, dec_b)
@@ -175,8 +180,7 @@ def cmd_globaliso(args) -> int:
         etas.append({"psi": k, "eta": eta})
     if args.emit_eta:
         with open(args.emit_eta, "w", encoding="utf-8") as fh:
-            json.dump(etas, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(etas, sort_keys=True) + "\n")
     return 3 if failures else 0
 
 

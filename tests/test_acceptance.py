@@ -15,6 +15,7 @@ from crglobal.globaldet import STATEMENT_IDS, power_of
 from crglobal.verify import (
     check_a2_equivalence,
     check_a3_equivalence,
+    check_member_statements,
     check_power_h_classes,
     check_structural_forms,
     coverage_records,
@@ -91,10 +92,10 @@ def test_criterion_6_runtime(cr5):
     assert elapsed < 120
 
 
-def test_criterion_7_statement_suite(sweep):
-    suite_records = [r for r in sweep.records if r.check in STATEMENT_IDS]
+def test_criterion_7_statement_suite(cr5, sweep):
+    suite_records = check_member_statements(cr5) + [r for r in sweep.records if r.check in STATEMENT_IDS]
     bad = [r for r in suite_records if not r.ok]
-    cov = coverage_records(sweep.coverage)
+    cov = coverage_records(suite_records)
     uncovered = [r for r in cov if not r.ok]
     ok = not bad and not uncovered
     print(
@@ -120,15 +121,7 @@ def test_criterion_8_order_12_enumeration():
     assert ep and a3
 
 
-# sha256 of `verify` stdout per profile; a change that alters the output on
-# purpose updates these digests and says so in CHANGES.md
-VERIFY_DIGESTS = {
-    "full": "6354a9b8a9dc7064678acefbb4af1924a887091a03d1bdae8d3506a15dc2bd6c",
-    "quick": "5010f387a8aa9a5d542949181185fbd185ba5fc4cdf51e4e4207c23e16e8d4af",
-}
-
-
-def test_criterion_9_determinism(capsys, monkeypatch):
+def test_criterion_9_determinism(capsys, monkeypatch, verify_digests):
     monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
     assert main(["verify", "--profile", "full"]) == 0
     first = capsys.readouterr().out
@@ -141,5 +134,5 @@ def test_criterion_9_determinism(capsys, monkeypatch):
     assert first == second
     for line in first.strip().splitlines():
         assert json.loads(line)["ok"] is True
-    assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_DIGESTS["full"]
-    assert hashlib.sha256(quick.encode()).hexdigest() == VERIFY_DIGESTS["quick"]
+    assert hashlib.sha256(first.encode()).hexdigest() == verify_digests["full"]
+    assert hashlib.sha256(quick.encode()).hexdigest() == verify_digests["quick"]

@@ -148,7 +148,9 @@ def test_globaliso_left_zero_pair(tmp_path, capsys):
     assert main(["globaliso", path, path, "--emit-eta", eta_path]) == 0
     out = capsys.readouterr().out
     assert out.count("psi ") >= 2
-    etas = json.loads(Path(eta_path).read_text())
+    raw = Path(eta_path).read_bytes()
+    etas = json.loads(raw)
+    assert raw == (json.dumps(etas, sort_keys=True) + "\n").encode()
     assert len(etas) == 6
     assert all(sorted(e["eta"]) == [0, 1] for e in etas)
 
@@ -233,18 +235,13 @@ def test_verify_quick_passes_and_is_deterministic(capsys, monkeypatch):
         assert rec["ok"] is True
 
 
-# sha256 of `verify --profile quick` stdout with CRGLOBAL_INJECT set; a change
-# that alters the output on purpose updates it and says so in CHANGES.md
-INJECTED_QUICK_DIGEST = "e33b969e78dcfc43df063a5be71b8fb78b0f3c7ab83fd6fcb92966b5f9745b3f"
-
-
-def test_verify_injection_fails(capsys, monkeypatch):
+def test_verify_injection_fails(capsys, monkeypatch, verify_digests):
     monkeypatch.setenv("CRGLOBAL_INJECT", "1")
     assert main(["verify", "--profile", "quick"]) == 3
     out = capsys.readouterr().out
     bad = [json.loads(line) for line in out.strip().splitlines() if not json.loads(line)["ok"]]
     assert bad and all(rec["witness"] for rec in bad)
-    assert hashlib.sha256(out.encode()).hexdigest() == INJECTED_QUICK_DIGEST
+    assert hashlib.sha256(out.encode()).hexdigest() == verify_digests["injected-quick"]
 
 
 # same-order pairs given to `globaliso`: self pairs with left zero, group and

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import random
 import sys
 import weakref
@@ -29,9 +30,10 @@ from crglobal.errors import (
     WrongComponentKindError,
 )
 from crglobal.globaldet import (
+    MEMBER_STATEMENT_IDS,
+    PSI_STATEMENT_IDS,
     IsoMap,
     Record,
-    STATEMENT_IDS,
     construct_eta,
     extract_theta,
     find_isomorphisms,
@@ -41,11 +43,12 @@ from crglobal.globaldet import (
     power_table,
     psi_image_mask,
     rho_partition,
+    verify_member_statements,
     verify_morphism,
     verify_statement_suite,
 )
 from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose
-from crglobal.verify import collect_psis, global_sweep
+from crglobal.verify import check_member_statements, collect_psis, cr_members, global_sweep, run_all
 
 
 def psis_of(s, s2, limit=8):
@@ -597,16 +600,19 @@ def test_statement_suite_all_pass_and_counts(named):
     ]
     for na, nb in pairs:
         s, s2 = named[na], named[nb]
+        records = verify_member_statements(s)
+        assert [r.check for r in records] == list(MEMBER_STATEMENT_IDS)
+        assert all(r.ok for r in records), [r for r in records if not r.ok]
         for psi in psis_of(s, s2, limit=4):
             records = run_suite(s, s2, psi)
-            assert [r.check for r in records] == list(STATEMENT_IDS)
+            assert [r.check for r in records] == list(PSI_STATEMENT_IDS)
             assert all(r.ok for r in records), [r for r in records if not r.ok]
 
 
 def test_statement_suite_vacuous_statements_have_zero_instances(named):
     s = named["cyclic-2"]  # one component, nothing comparable
     psi = psis_of(s, s)[0]
-    by_name = {r.check: r for r in run_suite(s, s, psi)}
+    by_name = {r.check: r for r in run_suite(s, s, psi) + verify_member_statements(s)}
     assert by_name["preimage-sandwich-transfer"].instances == 0
     assert by_name["pair-chain-image-union"].instances == 0
     assert by_name["rigid-top-two-group"].instances > 0
@@ -615,14 +621,16 @@ def test_statement_suite_vacuous_statements_have_zero_instances(named):
 # Subset maps that are bijections but not power isomorphisms: the lift of an
 # element isomorphism S -> pi(S) with the images of two masks of one component
 # of S swapped.  Rows: (member, pi, the two masks, sha256 of the repr of the
-# (check, instances, ok, witness) tuples of the suite's records, measured
-# while every witness was still formatted eagerly).  Together they make ten
-# statements fail.
+# (check, instances, ok, witness) tuples of the suite's records).  The
+# digests were measured on the 30-record suite that also copied in the
+# statements that never read the map, with its rows cut down to the
+# statements that read it, so these records are unchanged from that suite.
+# Together they make ten statements fail.
 BROKEN_PSIS = [
-    ("rb22-over-lz2", [5, 4, 3, 2, 1, 0], 0x4, 0x18, "4e94ff416841dee1245898fc6047b277d4ea8b2ad84153939a6deaf04ce5f8c0"),
-    ("rb22-over-zero", [1, 0, 4, 2, 3], 0x2, 0xC, "2c86f0e857c7c4ed7515fd0c07917ee759e3744e6ae1f9f7e24f9543f69751ab"),
-    ("lz3-monoid", [2, 3, 0, 1], 0x1, 0x3, "2ad93b3941128182b753fe6e8f646d35d114937ad59107032e9dceeee2c3a221"),
-    ("z2-over-lz2", [3, 1, 0, 2], 0x1, 0x3, "d675220186bddcbe4726c3ad940d787514fb2f3bee85dd695f9f4d597e77868f"),
+    ("rb22-over-lz2", [5, 4, 3, 2, 1, 0], 0x4, 0x18, "a5a2d0f3d8c82ac634de398be9096c588f311e177d85284245b5fe0b26fae6fb"),
+    ("rb22-over-zero", [1, 0, 4, 2, 3], 0x2, 0xC, "91cbf88a060f720eab426f93f53ee80d3e4d2b6cd2d452a877576df4899dea60"),
+    ("lz3-monoid", [2, 3, 0, 1], 0x1, 0x3, "11bae4ddf0070ef6957174a91d406c00ce3766eb31a316ad73ced8460f9e3540"),
+    ("z2-over-lz2", [3, 1, 0, 2], 0x1, 0x3, "7088209f3df0e33dc2d22a9c0f2b2f4b92114624f79b665c5fb34ebc37e1e2bd"),
 ]
 
 
@@ -635,7 +643,7 @@ def test_statement_suite_records_on_a_broken_map(named, name, perm, m1, m2, dige
     forward[m1 - 1], forward[m2 - 1] = forward[m2 - 1], forward[m1 - 1]
     psi = IsoMap("subsets", tuple(forward), globaldet._invert(forward), verified=True)
     records = run_suite(s, t, psi)
-    assert [r.check for r in records] == list(STATEMENT_IDS)
+    assert [r.check for r in records] == list(PSI_STATEMENT_IDS)
     assert any(not r.ok for r in records)
     assert all(r.ok == (r.witness is None) for r in records)
     rows = [(r.check, r.instances, r.ok, r.witness) for r in records]
@@ -675,23 +683,39 @@ def fresh(t):
     return CayleyTable(t.order, t.table, t.labels)
 
 
-def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
-    members = [(name, fresh(s)) for name, s in cr4]
+def test_member_statements_run_once_per_member(cr4, monkeypatch):
+    # run_all checks the statements that read only S once per sweep member,
+    # never inside the suite that runs once per map
     shape_runs = []
+    in_suite = []
     shape_checks = globaldet._a3_shape_checks
 
     def counting_shape_checks(checks, sd, prod):
-        shape_runs.append(sd.table)
+        shape_runs.append((sd.table, bool(in_suite)))
         return shape_checks(checks, sd, prod)
 
     suites = []
 
     def recording_suite(s, s2, psi, theta):
-        records = verify_statement_suite(s, s2, psi, theta)
+        in_suite.append(psi)
+        try:
+            records = verify_statement_suite(s, s2, psi, theta)
+        finally:
+            in_suite.pop()
         suites.append((s, s2, psi, records))
         return records
 
-    # the per-table data of the checks that run once per map
+    monkeypatch.setattr(globaldet, "_a3_shape_checks", counting_shape_checks)
+    monkeypatch.setattr(verify, "verify_statement_suite", recording_suite)
+    run_all("quick")
+    members = [s for _, s in cr_members(families.corpus("quick"), 4)]
+    assert len(suites) > len(members)
+    assert [t for t, _ in shape_runs] == members
+    assert not any(inside for _, inside in shape_runs)
+
+    # the per-table data of the checks that run once per map is built once
+    # per table, and the suite gives the same records on fresh tables
+    members = [(name, fresh(s)) for name, s in cr4]
     watched = {getattr(globaldet.SideData, name).func.__code__: name for name in ("support_groups", "sandwiches")}
     builds = Counter()
 
@@ -699,21 +723,74 @@ def test_map_free_statements_run_once_per_side(cr4, monkeypatch):
         if event == "call" and frame.f_code in watched:
             builds[watched[frame.f_code], frame.f_locals["self"].table] += 1
 
-    monkeypatch.setattr(globaldet, "_a3_shape_checks", counting_shape_checks)
-    monkeypatch.setattr(verify, "verify_statement_suite", recording_suite)
+    suites.clear()
+    shape_runs.clear()
     sys.setprofile(profile)
     try:
         global_sweep(members)
     finally:
         sys.setprofile(None)
     sides = {s for _, s in members}
-    assert len(suites) > len(sides)
-    assert len(shape_runs) == len(set(shape_runs)) == len(sides)
+    assert shape_runs == []
     assert set(builds.values()) == {1}, builds
     assert {t for name, t in builds if name == "support_groups"} == {s for s, _, _, _ in suites}
     assert {t for name, t in builds if name == "sandwiches"} <= sides
     for s, s2, psi, records in suites:
         assert run_suite(fresh(s), fresh(s2), psi) == records
+
+
+def test_member_statements_have_one_record_per_sweep_member():
+    records = run_all("quick")
+    members = [name for name, _ in cr_members(families.corpus("quick"), 4)]
+    coverage = {r.scope: r.instances for r in records if r.check == "statement-coverage"}
+    for check in MEMBER_STATEMENT_IDS:
+        mine = [r for r in records if r.check == check]
+        assert [r.scope for r in mine] == members, check
+        assert coverage[check] == sum(r.instances for r in mine), check
+    for check in PSI_STATEMENT_IDS:
+        assert coverage[check] == sum(r.instances for r in records if r.check == check and "#psi" in r.scope)
+
+
+def plant_sandwich_fault(monkeypatch, target):
+    """Make every table equal to ``target`` report one wrong element sandwich
+    {a}*B*{a}, with a in a zero component: one fact the member statement
+    ``rho-sandwich-collapse`` reads."""
+    build = globaldet.SideData.sandwiches.func
+    built = {}
+
+    def sandwiches(sd):
+        if sd not in built:
+            out = built[sd] = build(sd)
+            if sd.table == target:
+                dec = sd.dec
+                a, beta = next(k for k in out if dec.classification[dec.component_of[k[0]]] in (LEFT_ZERO, RIGHT_ZERO))
+                (bm, rhs), *rest = out[a, beta]
+                out[a, beta] = [(bm, rhs ^ 1), *rest]
+        return built[sd]
+
+    monkeypatch.setattr(globaldet.SideData, "sandwiches", property(sandwiches))
+
+
+def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monkeypatch):
+    # negative control: a wrong sandwich of one member fails that member's
+    # record, and both commands report a falsified statement
+    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
+    name = "lz2-over-zero"
+    plant_sandwich_fault(monkeypatch, named[name])
+    [rec] = [r for r in check_member_statements([(name, named[name])]) if not r.ok]
+    assert (rec.check, rec.scope, rec.ok) == ("rho-sandwich-collapse", name, False) and rec.witness
+    assert main(["verify", "--profile", "quick"]) == 3
+    failed = [r for r in map(json.loads, capsys.readouterr().out.splitlines()) if not r["ok"]]
+    assert [(r["check"], r["scope"]) for r in failed if r["check"] in MEMBER_STATEMENT_IDS] == [
+        ("rho-sandwich-collapse", name)
+    ]
+    path = tmp_path / f"{name}.json"
+    path.write_text(table_to_json(name, named[name]))
+    assert main(["globaliso", str(path), str(path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"FAIL rho-sandwich-collapse: {rec.witness}"
+    assert lines[1].startswith("psi 0: ")
+    assert sum(line.startswith("FAIL") for line in lines) == 1
 
 
 def test_transfer_work_is_done_once_per_table_and_map(cr5):
