@@ -12,7 +12,6 @@ from .core import (
     is_completely_simple,
     is_left_zero,
     is_right_zero,
-    j_classes,
     natural_order,
     restrict,
     validate_table,

@@ -127,7 +127,7 @@ def structural_form(s: CayleyTable, am: int) -> BreakableForm:
 
 def a3_counterexample(p: Power, am: int) -> int | None:
     """First B with B*B = B*A = A but B != A, or None when A is rigid."""
-    if not p.is_idempotent_mask(p.check_mask(am)):
+    if not p.is_idempotent_mask(am):
         raise NotIdempotentError("the rigidity scan applies to idempotent subsets")
     for bm in positions(p.squares(), am):
         if bm != am and p.product_mask(bm, am) == am:

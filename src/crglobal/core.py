@@ -182,22 +182,6 @@ def green_relations(s: CayleyTable) -> GreenData:
     return GreenData(lclass, rclass, hclass, dclass, idem, tuple(local_identity), tuple(local_inverse))
 
 
-@derived
-def j_classes(s: CayleyTable) -> tuple[int, ...]:
-    """J classes via two-sided principal ideals, computed independently of D."""
-    n = s.order
-    t = s.table
-    rng = range(n)
-    ideals = []
-    for a in rng:
-        ideal = {a}
-        ideal.update(t[x][a] for x in rng)
-        ideal.update(t[a][x] for x in rng)
-        ideal.update(t[t[x][a]][y] for x in rng for y in rng)
-        ideals.append(frozenset(ideal))
-    return _number_classes(ideals)
-
-
 def is_completely_regular(s: CayleyTable) -> bool:
     """True iff every H-class is a group."""
     g = green_relations(s)

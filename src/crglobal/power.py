@@ -2,12 +2,13 @@
 
 Subset products come from per-element translate rows: ``row_i[B]`` is the
 mask of {i}*B for every mask B, and A*B is the OR of ``row_i[B]`` over the
-elements i of A.  The rows and the vectors of squares B*B, right ideals B*S
-and left ideals S*B are each built once per power semigroup, by doubling over
-the bits of B, and stored as compact arrays (order 12: 12 x 4096 entries).
-Each size bound is a module constant, checked where the structure it protects
-is built.  The order/cover/Green structure is computed on demand.  Subsets
-are int masks throughout.
+elements i of A.  The rows and the vectors of squares B*B and right ideals B*S
+are each built once per power semigroup, by doubling over the bits of B, and
+stored as compact arrays (order 12: 12 x 4096 entries).  Each size bound is a
+module constant, checked where the structure it protects is built.  The
+order/cover/Green structure is computed on demand; Green classes come from
+:func:`green_relations` of the materialized power table only.  Subsets are
+int masks throughout.
 """
 
 from __future__ import annotations
@@ -45,11 +46,8 @@ class Power:
         self._rows: list[array] | None = None
         self._squares: array | None = None
         self._right_ideals: array | None = None
-        self._left_ideals: array | None = None
         self._table: CayleyTable | None = None
         self._ep: list[int] | None = None
-        self._lideal: dict[int, frozenset[int]] = {}
-        self._rideal: dict[int, frozenset[int]] = {}
 
     # -- products ---------------------------------------------------------
 
@@ -96,12 +94,6 @@ class Power:
             self._right_ideals = self._doubled([row[full] for row in self.translate_rows()])
         return self._right_ideals
 
-    def left_ideals(self) -> array:
-        """``left_ideals()[B]`` is S*B for every mask B (0 at the empty mask)."""
-        if self._left_ideals is None:
-            self._left_ideals = self._doubled([self.product_mask(self.full_mask, 1 << j) for j in range(self.n)])
-        return self._left_ideals
-
     def table(self) -> CayleyTable:
         """The power semigroup materialized over mask-1 indices, built once.
 
@@ -145,7 +137,7 @@ class Power:
         return m
 
     def is_idempotent_mask(self, m: int) -> bool:
-        return self.product_mask(m, m) == m
+        return self.squares()[self.check_mask(m)] == m
 
     # -- idempotent subsets and their order --------------------------------
 
@@ -161,11 +153,11 @@ class Power:
         return self.product_mask(am, bm) == am and self.product_mask(bm, am) == am
 
     def ep_lt_mask(self, am: int, bm: int) -> bool:
-        return am != bm and self.ep_leq_mask(am, bm)
+        return self.ep_leq_mask(am, bm) and am != bm
 
     def covers(self, am: int, bm: int) -> bool:
         """True iff no idempotent subset sits strictly between A and B."""
-        if not self.ep_lt_mask(self.check_mask(am), self.check_mask(bm)):
+        if not self.ep_lt_mask(am, bm):
             raise NotComparableError("cover checks need a strictly ordered pair")
         for cm in self.idempotent_masks():
             if cm in (am, bm):
@@ -174,42 +166,14 @@ class Power:
                 return False
         return True
 
-    # -- one-sided ideals and Green structure ------------------------------
-
-    def l_ideal_set(self, m: int) -> frozenset[int]:
-        """All subsets of the form X*A together with A itself."""
-        hit = self._lideal.get(m)
-        if hit is None:
-            # X*A is the OR of row_i[A] over the elements i of X
-            hit = frozenset(self._doubled([row[m] for row in self.translate_rows()])[1:]) | {m}
-            self._lideal[m] = hit
-        return hit
-
-    def r_ideal_set(self, m: int) -> frozenset[int]:
-        hit = self._rideal.get(m)
-        if hit is None:
-            # A*X is the OR of A*{j} over the elements j of X
-            hit = frozenset(self._doubled([self.product_mask(m, 1 << j) for j in range(self.n)])[1:]) | {m}
-            self._rideal[m] = hit
-        return hit
+    # -- Green structure ---------------------------------------------------
 
     def h_class(self, am: int) -> list[int]:
-        """H-class of A in the power semigroup, by one-sided ideal equality.
-
-        Candidates share both A*S and S*A with A: B = A*X gives B*S inside
-        A*S, so R-related subsets have one right ideal B*S, and dually for
-        L.  This holds over any base semigroup.
-        """
+        """H-class of A in the power semigroup, read from :meth:`power_green`,
+        so a base above ``MAX_GREEN_ORDER`` is refused."""
         self.check_mask(am)
-        left, right = self.left_ideals(), self.right_ideals()
-        same_left = set(positions(left, left[am]))
-        my_l = self.l_ideal_set(am)
-        my_r = self.r_ideal_set(am)
-        return [
-            m
-            for m in positions(right, right[am])
-            if m in same_left and self.l_ideal_set(m) == my_l and self.r_ideal_set(m) == my_r
-        ]
+        hclass = self.power_green().hclass
+        return [i + 1 for i in positions(hclass, hclass[am - 1])]
 
     def power_green(self) -> GreenData:
         """Green classes over every nonempty subset, indexed by mask - 1:
@@ -230,7 +194,7 @@ def power_of(s: CayleyTable) -> Power:
     return Power(s)
 
 
-def positions(vector: array, value: int):
+def positions(vector: array | tuple[int, ...], value: int):
     """Ascending indices i with ``vector[i] == value``; the scan runs in C."""
     i = -1
     while True:

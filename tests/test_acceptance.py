@@ -6,7 +6,11 @@ completely regular corpus members of order at most 5.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from crglobal import families
 from crglobal.breakable import enumerate_a3_masks
@@ -136,3 +140,16 @@ def test_criterion_9_determinism(capsys, monkeypatch, verify_digests):
         assert json.loads(line)["ok"] is True
     assert hashlib.sha256(first.encode()).hexdigest() == verify_digests["full"]
     assert hashlib.sha256(quick.encode()).hexdigest() == verify_digests["quick"]
+
+
+def test_verify_digests_in_a_fresh_interpreter(verify_digests):
+    # the in-process runs above share derived data with earlier tests; a
+    # fresh interpreter builds every derived value in the order verify asks
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("CRGLOBAL_INJECT", None)
+    for profile in ("quick", "full"):
+        run = subprocess.run(
+            [sys.executable, "-m", "crglobal.cli", "verify", "--profile", profile],
+            env=env, capture_output=True, check=True,
+        )
+        assert hashlib.sha256(run.stdout).hexdigest() == verify_digests[profile], profile

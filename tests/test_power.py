@@ -6,7 +6,7 @@ from oracles import oracle_dual, oracle_mask, oracle_power_green, oracle_power_r
 
 from crglobal import families
 from crglobal.breakable import a2_counterexample, a3_counterexample
-from crglobal.core import bits, green_relations, is_completely_regular
+from crglobal.core import bits, is_completely_regular
 from crglobal.errors import (
     EmptySubsetError,
     NotComparableError,
@@ -37,6 +37,11 @@ def test_mask_entry_points_check_parent_and_emptiness():
     entry_points = [
         lambda m: p.covers(m, 0b11),
         lambda m: p.covers(0b01, m),
+        p.is_idempotent_mask,
+        lambda m: p.ep_leq_mask(m, 0b01),
+        lambda m: p.ep_leq_mask(0b01, m),
+        lambda m: p.ep_lt_mask(m, 0b01),
+        lambda m: p.ep_lt_mask(m, m),
         p.h_class,
         lambda m: h_class_of_left_zero_set(p, m),
         lambda m: a3_counterexample(p, m),
@@ -211,35 +216,30 @@ def test_power_green_bound():
         power_of(families.tower_12()).power_green()
 
 
-def test_power_green_matches_set_product_oracle(cr5):
-    for name, s in cr5:
-        pg = power_of(s).power_green()
-        assert (pg.lclass, pg.rclass, pg.hclass, pg.dclass) == oracle_power_green(s), name
-
-
-def test_h_class_answers_where_power_green_refuses():
-    s = families.tower_12()
-    p = power_of(s)
-    g = green_relations(s)
-    for e in range(s.order):
-        if s.table[e][e] == e:
-            want = [1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]]
-            assert sorted(h_class_of_idempotent_singleton(p, e)) == want, e
-    with pytest.raises(OrderTooLargeError):
-        p.power_green()
-
-
-def test_h_class_prune_matches_unpruned(cr5, corpus_members):
-    # the candidates sharing A*S and S*A lose no H-class member, on
-    # completely regular bases and on the others alike
+def test_power_green_matches_set_product_oracle(cr5, corpus_members):
+    # on completely regular bases and on the others alike; h_class is read
+    # against the oracle's classes, not against power_green itself
     others = [(name, s) for name, s in corpus_members if s.order <= 3 and not is_completely_regular(s)]
     assert others
     for name, s in cr5 + others:
         p = power_of(s)
-        hclass = p.power_green().hclass
+        pg = p.power_green()
+        want = oracle_power_green(s)
+        assert (pg.lclass, pg.rclass, pg.hclass, pg.dclass) == want, name
+        hclass = want[2]
         for am in range(1, p.full_mask + 1):
             whole = [m for m in range(1, p.full_mask + 1) if hclass[m - 1] == hclass[am - 1]]
-            assert sorted(p.h_class(am)) == whole, (name, am)
+            assert p.h_class(am) == whole, (name, am)
+
+
+def test_h_class_refuses_where_power_green_refuses():
+    s = families.tower_12()
+    p = power_of(s)
+    e = next(e for e in range(s.order) if s.table[e][e] == e)
+    with pytest.raises(OrderTooLargeError):
+        h_class_of_idempotent_singleton(p, e)
+    with pytest.raises(OrderTooLargeError):
+        h_class_of_left_zero_set(p, 1 << e)
 
 
 def _elements(mask):
@@ -273,14 +273,13 @@ def test_squares_and_right_ideals_match_set_oracle(corpus_members):
         if s.order > 6:
             continue
         p = Power(s)
-        squares, ideals, lefts = p.squares(), p.right_ideals(), p.left_ideals()
-        assert len(squares) == len(ideals) == len(lefts) == 1 << s.order, name
+        squares, ideals = p.squares(), p.right_ideals()
+        assert len(squares) == len(ideals) == 1 << s.order, name
         carrier = set(range(s.order))
         for m in range(1, 1 << s.order):
             a = _elements(m)
             assert squares[m] == oracle_mask(oracle_subset_product(s, a, a)), (name, m)
             assert ideals[m] == oracle_mask(oracle_subset_product(s, a, carrier)), (name, m)
-            assert lefts[m] == oracle_mask(oracle_subset_product(s, carrier, a)), (name, m)
 
 
 def test_product_refuses_order_above_enumeration_bound():
