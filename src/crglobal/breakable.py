@@ -44,6 +44,12 @@ def satisfies_an_mask(s: CayleyTable, mask: int, n: int) -> bool:
     return _products_among_factors(s.table, mask, n)
 
 
+def is_a3_mask(s: CayleyTable, mask: int) -> bool:
+    """The subset is closed and satisfies the triple condition; unlike
+    ``satisfies_an_mask``, a subset that is not closed gives False."""
+    return is_subsemigroup_mask(s, mask) and _products_among_factors(s.table, mask, 3)
+
+
 def _products_among_factors(t, mask: int, n: int) -> bool:
     # the scan of satisfies_an_mask, for a mask already known to be closed
     elems = tuple(bits(mask))
@@ -61,28 +67,30 @@ def _products_among_factors(t, mask: int, n: int) -> bool:
 
 
 @derived
-def enumerate_a3_masks(s: CayleyTable) -> list[int]:
+def enumerate_a3_masks(s: CayleyTable) -> dict[int, None]:
+    """The triple-condition subsemigroups ascending, as the keys of a dict so
+    that membership is one lookup, like the two enumerations below."""
     if s.order > MAX_ORDER:
         raise OrderTooLargeError(f"order {s.order} exceeds the subset-scan bound {MAX_ORDER}")
     # A is closed exactly when A*A lies inside A
     squares = power_of(s).squares()
     t = s.table
-    return [m for m in range(1, 1 << s.order) if squares[m] | m == m and _products_among_factors(t, m, 3)]
+    return dict.fromkeys(m for m in range(1, 1 << s.order) if squares[m] | m == m and _products_among_factors(t, m, 3))
 
 
 @derived
-def enumerate_a2_masks(s: CayleyTable) -> list[int]:
+def enumerate_a2_masks(s: CayleyTable) -> dict[int, None]:
     """The pair-condition subsemigroups, filtered from the triple-condition
     ones: ab in {a, b} gives abc in {ab, c}, inside {a, b, c}."""
     t = s.table
-    return [m for m in enumerate_a3_masks(s) if _products_among_factors(t, m, 2)]
+    return dict.fromkeys(m for m in enumerate_a3_masks(s) if _products_among_factors(t, m, 2))
 
 
 @derived
-def enumerate_a2bar_masks(s: CayleyTable) -> list[int]:
+def enumerate_a2bar_masks(s: CayleyTable) -> dict[int, None]:
     """Breakable subsemigroups supported on a single component."""
     dec = decompose(s)
-    return [m for m in enumerate_a2_masks(s) if len(id_set_mask(m, dec)) == 1]
+    return dict.fromkeys(m for m in enumerate_a2_masks(s) if len(id_set_mask(m, dec)) == 1)
 
 
 def structural_form(s: CayleyTable, am: int) -> BreakableForm:
@@ -98,7 +106,7 @@ def structural_form(s: CayleyTable, am: int) -> BreakableForm:
     would lie in e's chunk, a contradiction.  The right zero case is dual,
     and only the top chunk may be neither.
     """
-    if not (is_subsemigroup_mask(s, power_of(s).check_mask(am)) and satisfies_an_mask(s, am, 3)):
+    if not is_a3_mask(s, am):
         raise NotA3Error("structural form needs the triple-product condition")
     t = s.table
     dclass = green_relations(s).dclass
@@ -141,7 +149,7 @@ def a3_characterization(p: Power, am: int) -> bool:
 
 def a2_counterexample(p: Power, am: int) -> int | None:
     """First B with A*S = B*S and B*A = A*B = A whose square moves, or None."""
-    if not (is_subsemigroup_mask(p.base, p.check_mask(am)) and satisfies_an_mask(p.base, am, 3)):
+    if not is_a3_mask(p.base, am):
         raise NotA3Error("the idempotency scan applies below the triple-product class")
     ideals = p.right_ideals()
     squares = p.squares()

@@ -20,7 +20,6 @@ from .breakable import (
     enumerate_a2_masks,
     enumerate_a2bar_masks,
     enumerate_a3_masks,
-    satisfies_an_mask,
     structural_form,
 )
 from .core import CayleyTable, bits, green_relations, idempotents, is_completely_regular, is_completely_simple, natural_order, validate_table
@@ -126,7 +125,7 @@ def cmd_breakable(args) -> int:
         chunks = " < ".join(f"{_mask_str(s, c)}:{k}" for c, k in zip(form.chunks, form.kinds))
         scan2 = a2_characterization(p, am)
         scan3 = a3_characterization(p, am)
-        agree2 = scan2 == satisfies_an_mask(s, am, 2)
+        agree2 = scan2 == (am in a2)
         tags = []
         tags.append("pair" if am in a2 else "triple-only")
         if am in a2bar:

@@ -18,6 +18,7 @@ from .errors import (
     NotAssociativeError,
     NotCompletelyRegularError,
     NotSubsemigroupError,
+    ParentMismatchError,
     TableShapeError,
 )
 
@@ -66,6 +67,25 @@ def mask_of(elements: Iterable[int]) -> int:
     for e in elements:
         m |= 1 << e
     return m
+
+
+def subset_or(images: Sequence[int]) -> list[int]:
+    """``out[B]`` is the OR of ``images[j]`` over the bits j of B, for every
+    mask B below ``1 << len(images)``: one doubling per image, since the
+    masks with j as highest bit are those below ``1 << j`` with j added."""
+    out = [0]
+    for img in images:
+        out += [v | img for v in out]
+    return out
+
+
+def check_subset_mask(s: CayleyTable, mask: int) -> int:
+    """``mask`` itself, once checked to be a nonempty subset of the carrier."""
+    if mask == 0:
+        raise EmptySubsetError("subsets here must be nonempty")
+    if mask < 0 or mask >> s.order:
+        raise ParentMismatchError(f"mask {mask:#x} is not a subset of the order-{s.order} carrier")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -227,8 +247,7 @@ def natural_order(s: CayleyTable) -> NaturalOrder:
 
 
 def is_subsemigroup_mask(s: CayleyTable, mask: int) -> bool:
-    if mask == 0:
-        raise EmptySubsetError("closure is only defined for nonempty subsets")
+    check_subset_mask(s, mask)
     t = s.table
     for i in bits(mask):
         row = t[i]

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add, itemgetter
 
 from .breakable import a3_counterexample, enumerate_a2_masks, enumerate_a2bar_masks, enumerate_a3_masks
-from .core import CayleyTable, bits, derived, green_relations, mask_of, natural_order
+from .core import CayleyTable, bits, derived, green_relations, mask_of, natural_order, subset_or
 from .errors import (
     BlockSizeMismatchError,
     EtaNotMorphismError,
@@ -408,11 +407,7 @@ def lift(phi: IsoMap) -> IsoMap:
     """Lift an element bijection to the subset level, elementwise."""
     if phi.kind != "elements":
         raise ValueError(f"lift needs an element map, got a {phi.kind} map")
-    # by doubling: the masks with x as highest element are those below 1 << x
-    # with x added, and their images gain phi(x)
-    image = [0]
-    for y in phi.forward:
-        image += [m | 1 << y for m in image]
+    image = subset_or([1 << y for y in phi.forward])
     forward = [m - 1 for m in image[1:]]
     return IsoMap("subsets", tuple(forward), _invert(forward), verified=phi.verified)
 
@@ -581,69 +576,43 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Tr
     return Transfer(theta, IsoMap("elements", tuple(eta), _invert(eta), verified=True))
 
 
-# -- per-semigroup context for the statement suite ----------------------------
-
-
-class SideData:
-    """Analysis of one completely regular semigroup, built once per table by
-    :func:`side_data`."""
-
-    def __init__(self, table: CayleyTable):
-        self.table = table
-        self.n = table.order
-        self.full_mask = (1 << self.n) - 1
-        self.green = green_relations(table)
-        self.dec = decompose(table)
-        self.order = natural_order(table)
-        self.power = power_of(table)
-        # each subset class ascending, as enumerated, and keyed for the
-        # membership tests; compare a class with a set through .keys()
-        self.a3 = dict.fromkeys(enumerate_a3_masks(table))
-        self.a2 = dict.fromkeys(enumerate_a2_masks(table))
-        self.a2bar = dict.fromkeys(enumerate_a2bar_masks(table))
-
-    @cached_property
-    def support_groups(self) -> list[tuple[list[int], list[bool]]]:
-        """The nonempty subsets grouped by the R-classes they meet, groups of
-        one left out, each group ascending and paired with, for each member
-        after the first, whether its right ideal equals the first member's."""
-        rclass = self.green.rclass
-        ideals = self.power.right_ideals()
-        support = [0]  # support[mask]: bit r set when mask meets R-class r
-        groups: dict[int, list[int]] = {}
-        for mask in range(1, self.full_mask + 1):
-            low = mask & -mask
-            support.append(support[mask ^ low] | (1 << rclass[low.bit_length() - 1]))
-            groups.setdefault(support[mask], []).append(mask)
-        return [(g, [ideals[o] == ideals[g[0]] for o in g[1:]]) for g in groups.values() if len(g) > 1]
-
-    @cached_property
-    def sandwiches(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """For each element a and component beta strictly below the component
-        of a: the pairs (B, {a}*B*{a}) over the nonempty subsets B of beta,
-        B descending."""
-        dec = self.dec
-        prod = self.power.product_mask
-        out = {}
-        for alpha in range(dec.count):
-            for beta in range(dec.count):
-                if not dec.lt(beta, alpha):
-                    continue
-                for a in dec.component_elements(alpha):
-                    am = 1 << a
-                    out[a, beta] = [(bm, prod(prod(am, bm), am)) for bm in _submasks(dec.components[beta])]
-        return out
-
-    def idset(self, mask: int) -> frozenset[int]:
-        return id_set_mask(mask, self.dec)
-
-    def zero_components(self) -> list[int]:
-        return [c for c in range(self.dec.count) if self.dec.classification[c] in (LEFT_ZERO, RIGHT_ZERO)]
+# -- per-semigroup data for the statement suite -------------------------------
 
 
 @derived
-def side_data(table: CayleyTable) -> SideData:
-    return SideData(table)
+def _support_groups(s: CayleyTable) -> list[tuple[list[int], list[bool]]]:
+    """The nonempty subsets grouped by the R-classes they meet, groups of one
+    left out, each group ascending and paired with, for each member after
+    the first, whether its right ideal equals the first member's."""
+    ideals = power_of(s).right_ideals()
+    # support[mask]: bit r set when mask meets R-class r
+    support = subset_or([1 << r for r in green_relations(s).rclass])
+    groups: dict[int, list[int]] = {}
+    for mask in range(1, len(support)):
+        groups.setdefault(support[mask], []).append(mask)
+    return [(g, [ideals[o] == ideals[g[0]] for o in g[1:]]) for g in groups.values() if len(g) > 1]
+
+
+@derived
+def _sandwiches(s: CayleyTable) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """For each element a and component beta strictly below the component of
+    a: the pairs (B, {a}*B*{a}) over the nonempty subsets B of beta, B
+    descending."""
+    dec = decompose(s)
+    prod = power_of(s).product_mask
+    out = {}
+    for alpha in range(dec.count):
+        for beta in range(dec.count):
+            if not dec.lt(beta, alpha):
+                continue
+            for a in dec.component_elements(alpha):
+                am = 1 << a
+                out[a, beta] = [(bm, prod(prod(am, bm), am)) for bm in _submasks(dec.components[beta])]
+    return out
+
+
+def _zero_components(dec: Decomposition) -> list[int]:
+    return [c for c in range(dec.count) if dec.classification[c] in (LEFT_ZERO, RIGHT_ZERO)]
 
 
 # -- the statement suite -------------------------------------------------------
@@ -743,14 +712,13 @@ def verify_member_statements(s: CayleyTable) -> list[Record]:
     """Exhaustively instantiate the statements that read only ``s``: one
     record per statement of :data:`MEMBER_STATEMENT_IDS`, in that order,
     counted as in :func:`verify_statement_suite`."""
-    sd = side_data(s)
     checks = {name: _Check(name) for name in MEMBER_STATEMENT_IDS}
-    prod = sd.power.product_mask
-    _a3_shape_checks(checks, sd, prod)
-    _rigidity_checks(checks, sd)
-    _power_green_checks(checks, sd)
-    _ep_order_checks(checks, sd, prod)
-    _rho_checks(checks, sd, prod, s.table)
+    prod = power_of(s).product_mask
+    _a3_shape_checks(checks, s, prod)
+    _rigidity_checks(checks, s)
+    _power_green_checks(checks, s)
+    _ep_order_checks(checks, s, prod)
+    _rho_checks(checks, s, prod)
     return [ck.record() for ck in checks.values()]
 
 
@@ -771,17 +739,13 @@ def verify_statement_suite(
     when the statement's hypothesis actually held, so a coverage pass over
     the records detects vacuous statements.
     """
-    sd = side_data(s)
-    se = side_data(s2)
     checks = {name: _Check(name) for name in PSI_STATEMENT_IDS}
     # image[A] and preimage[A] are the masks of psi(A) and psi^-1(A); index 0 is unused
     image = [0, *map((1).__add__, psi.forward)]
     preimage = [0, *map((1).__add__, psi.inverse)]
-    prod = sd.power.product_mask
-    prod2 = se.power.product_mask
 
-    _image_bijections(checks, sd, se, image)
-    _ideal_checks(checks, sd, se, image)
+    _image_bijections(checks, s, s2, image)
+    _ideal_checks(checks, s, s2, image)
 
     if isinstance(theta, FalsificationError):
         for name in (
@@ -791,20 +755,20 @@ def verify_statement_suite(
         ):
             checks[name].fail(f"component map unavailable: {theta}")
     else:
-        _cs0_checks(checks, sd, se, image, theta)
-        _cross_component_checks(checks, sd, se, image, preimage, prod, prod2, theta)
-    _pair_chain_checks(checks, sd, image)
-    _nonmaximal_checks(checks, sd, image)
+        _cs0_checks(checks, s, s2, image, theta)
+        _cross_component_checks(checks, s, s2, image, preimage, theta)
+    _pair_chain_checks(checks, s, image)
+    _nonmaximal_checks(checks, s, image)
 
     return [ck.record() for ck in checks.values()]
 
 
-def _image_bijections(checks, sd: SideData, se: SideData, image: list[int]) -> None:
-    for name, src, dst in zip(
+def _image_bijections(checks, s: CayleyTable, s2: CayleyTable, image: list[int]) -> None:
+    for name, masks in zip(
         ("a3-image-bijection", "a2-image-bijection", "a2bar-image-bijection"),
-        (sd.a3, sd.a2, sd.a2bar),
-        (se.a3, se.a2, se.a2bar),
+        (enumerate_a3_masks, enumerate_a2_masks, enumerate_a2bar_masks),
     ):
+        src, dst = masks(s), masks(s2)
         ck = checks[name]
         images = set()
         for am in src:
@@ -814,30 +778,31 @@ def _image_bijections(checks, sd: SideData, se: SideData, image: list[int]) -> N
         ck.count(images == dst.keys(), "images cover {} of {} targets", len(images), len(dst))
 
 
-def _a3_shape_checks(checks, sd: SideData, prod) -> None:
-    g = sd.green
-    sq = sd.power.squares()
+def _a3_shape_checks(checks, s: CayleyTable, prod) -> None:
+    g = green_relations(s)
+    dec = decompose(s)
+    sq = power_of(s).squares()
     ck_id = checks["a3-local-identities"]
     ck_root = checks["a3-square-root-rigid"]
     ck_sup = checks["a3-square-support"]
     ck_abs = checks["a3-absorbed-subset"]
     ck_mul = checks["a3-multiplier-rigid"]
-    for am in sd.a3:
+    for am in enumerate_a3_masks(s):
         for a in bits(am):
             e = g.local_identity[a]
             ck_id.count((am >> e) & 1 == 1, "identity {} of {} escapes {:#x}", e, a, am)
         for bm in _submasks(am):
             if sq[bm] == am:
                 ck_root.count(bm == am, "proper {:#x} squares to {:#x}", bm, am)
-        ids_a = sd.idset(am)
+        ids_a = id_set_mask(am, dec)
         for bm in positions(sq, am):
-            ck_sup.count(sd.idset(bm) == ids_a, "{:#x} squares to {:#x} with different support", bm, am)
+            ck_sup.count(id_set_mask(bm, dec) == ids_a, "{:#x} squares to {:#x} with different support", bm, am)
             if prod(bm, am) == am:
                 ck_mul.count(bm == am, "{:#x} multiplies and squares onto {:#x}", bm, am)
         # the subsets supported inside the support of A, ascending
         support = 0
         for alpha in ids_a:
-            support |= sd.dec.components[alpha]
+            support |= dec.components[alpha]
         bm = 0
         while True:
             bm = (bm - support) & support
@@ -847,13 +812,14 @@ def _a3_shape_checks(checks, sd: SideData, prod) -> None:
                 ck_abs.count(bm | am == am, "{:#x} absorbed by {:#x} but not contained", bm, am)
 
 
-def _rigidity_checks(checks, sd: SideData) -> None:
-    g = sd.green
-    t = sd.table.table
-    dec = sd.dec
-    for am in sd.power.idempotent_masks():
+def _rigidity_checks(checks, s: CayleyTable) -> None:
+    g = green_relations(s)
+    t = s.table
+    dec = decompose(s)
+    power = power_of(s)
+    for am in power.idempotent_masks():
         # only idempotent subsets satisfying the square-and-absorb rigidity premise
-        if a3_counterexample(sd.power, am) is not None:
+        if a3_counterexample(power, am) is not None:
             continue
         elems = tuple(bits(am))
         for a in elems:
@@ -867,7 +833,7 @@ def _rigidity_checks(checks, sd: SideData) -> None:
                 p = t[a][b]
                 allowed = {a, b, g.local_identity[a], g.local_identity[b]}
                 checks["rigid-pair-products"].count(p in allowed, "{}*{}={} in {:#x}", a, b, p, am)
-        ids = sorted(sd.idset(am))
+        ids = sorted(id_set_mask(am, dec))
         chain = all(dec.leq(x, y) or dec.leq(y, x) for x in ids for y in ids)
         checks["rigid-support-chain"].count(chain, "support of {:#x} is not a chain", am)
         for a in elems:
@@ -910,12 +876,14 @@ def _rigidity_checks(checks, sd: SideData) -> None:
                 checks["rigid-top-two-group"].count(ok, "top slice of {:#x} is {}", am, sorted(top))
 
 
-def _power_green_checks(checks, sd: SideData) -> None:
-    pg = sd.power.power_green()
-    ideals = sd.power.right_ideals()
+def _power_green_checks(checks, s: CayleyTable) -> None:
+    p = power_of(s)
+    dec = decompose(s)
+    pg = p.power_green()
+    ideals = p.right_ideals()
     by_r: dict[int, list[int]] = {}
     by_d: dict[int, list[int]] = {}
-    for idx in range(sd.full_mask):
+    for idx in range(p.full_mask):
         by_r.setdefault(pg.rclass[idx], []).append(idx + 1)
         by_d.setdefault(pg.dclass[idx], []).append(idx + 1)
     for group in by_r.values():
@@ -925,17 +893,18 @@ def _power_green_checks(checks, sd: SideData) -> None:
                 ideals[other] == base, "R-related {:#x} and {:#x} have different right ideals", group[0], other
             )
     for group in by_d.values():
-        base = sd.idset(group[0])
+        base = id_set_mask(group[0], dec)
         for other in group[1:]:
             checks["power-d-support"].count(
-                sd.idset(other) == base, "D-related {:#x} and {:#x} have different supports", group[0], other
+                id_set_mask(other, dec) == base, "D-related {:#x} and {:#x} have different supports", group[0], other
             )
 
 
-def _ideal_checks(checks, sd: SideData, se: SideData, image: list[int]) -> None:
+def _ideal_checks(checks, s: CayleyTable, s2: CayleyTable, image: list[int]) -> None:
     ck = checks["rclass-support-ideals"]
-    ideals2 = se.power.right_ideals()
-    for group, same in sd.support_groups:
+    p2 = power_of(s2)
+    ideals2 = p2.right_ideals()
+    for group, same in _support_groups(s):
         first = group[0]
         base2 = ideals2[image[first]]
         for other, ok in zip(group[1:], same):
@@ -943,30 +912,33 @@ def _ideal_checks(checks, sd: SideData, se: SideData, image: list[int]) -> None:
                 ok and ideals2[image[other]] == base2, "{:#x} and {:#x} share R-class support but not ideals", first, other
             )
     ck2 = checks["local-identity-ideal"]
-    prod2 = se.power.product_mask
-    psi_s = image[sd.full_mask]
-    for s_el in range(se.n):
-        e = se.green.local_identity[s_el]
+    prod2 = p2.product_mask
+    psi_s = image[(1 << s.order) - 1]
+    local_identity = green_relations(s2).local_identity
+    for s_el in range(s2.order):
+        e = local_identity[s_el]
         ck2.count(
             prod2(1 << s_el, psi_s) == prod2(1 << e, psi_s),
             "element {} and its identity {} translate the image differently", s_el, e,
         )
 
 
-def _ep_order_checks(checks, sd: SideData, prod) -> None:
-    dec = sd.dec
-    rows = sd.power.translate_rows()
-    for am in sd.a2:
-        ids_a = sd.idset(am)
+def _ep_order_checks(checks, s: CayleyTable, prod) -> None:
+    dec = decompose(s)
+    p = power_of(s)
+    rows = p.translate_rows()
+    a2 = enumerate_a2_masks(s)
+    for am in a2:
+        ids_a = id_set_mask(am, dec)
         # A*B = B*A = A needs {b}*A and A*{b} inside A for every b in B
         inside = 0
         for b, row in enumerate(rows):
             if row[am] | am == am and prod(am, 1 << b) | am == am:
                 inside |= 1 << b
-        for bm in sd.power.idempotent_masks():
+        for bm in p.idempotent_masks():
             if bm & ~inside or not (prod(am, bm) == am and prod(bm, am) == am):
                 continue
-            ids_b = sd.idset(bm)
+            ids_b = id_set_mask(bm, dec)
             shared = ids_a & ids_b
             for alpha in sorted(shared):
                 checks["ep-leq-slice-containment"].count(
@@ -990,25 +962,22 @@ def _ep_order_checks(checks, sd: SideData, prod) -> None:
                     continue
                 for a in bits(am & dec.components[alpha]):
                     reduced = am & ~(1 << a)
-                    ok = (
-                        reduced in sd.a2
-                        and sd.power.ep_lt_mask(am, reduced)
-                        and sd.power.covers(am, reduced)
-                    )
+                    ok = reduced in a2 and p.ep_lt_mask(am, reduced) and p.covers(am, reduced)
                     checks["drop-nonmaximal-covers"].count(
                         ok, "dropping {} from {:#x} is not an immediate successor", a, am
                     )
 
 
-def _cs0_checks(checks, sd: SideData, se: SideData, image: list[int], theta: IsoMap) -> None:
+def _cs0_checks(checks, s: CayleyTable, s2: CayleyTable, image: list[int], theta: IsoMap) -> None:
     ck = checks["cs0-singleton-restriction"]
-    for alpha in range(sd.dec.count):
-        if sd.dec.classification[alpha] != CS0:
+    dec, dec2 = decompose(s), decompose(s2)
+    for alpha in range(dec.count):
+        if dec.classification[alpha] != CS0:
             continue
-        target_mask = se.dec.components[theta.forward[alpha]]
+        target_mask = dec2.components[theta.forward[alpha]]
         mapping = {}
         good = True
-        for a in sd.dec.component_elements(alpha):
+        for a in dec.component_elements(alpha):
             img = image[1 << a]
             ok = img.bit_count() == 1 and img & ~target_mask == 0
             ck.count(ok, "element {} of component {} has image {:#x}", a, alpha, img)
@@ -1018,79 +987,84 @@ def _cs0_checks(checks, sd: SideData, se: SideData, image: list[int], theta: Iso
             mapping[a] = img.bit_length() - 1
         if not good:
             continue
-        elems = sd.dec.component_elements(alpha)
+        elems = dec.component_elements(alpha)
         ck.count(
             sorted(mapping.values()) == sorted(bits(target_mask)), "component {} does not map onto its target", alpha
         )
         for a in elems:
             for b in elems:
                 ck.count(
-                    mapping[sd.table.table[a][b]] == se.table.table[mapping[a]][mapping[b]],
+                    mapping[s.table[a][b]] == s2.table[mapping[a]][mapping[b]],
                     "restriction breaks at {}*{} in component {}", a, b, alpha,
                 )
 
 
-def _pair_chain_checks(checks, sd: SideData, image: list[int]) -> None:
+def _pair_chain_checks(checks, s: CayleyTable, image: list[int]) -> None:
     ck = checks["pair-chain-image-union"]
-    dec = sd.dec
-    for a in range(sd.n):
-        for b in range(sd.n):
+    dec = decompose(s)
+    a2 = enumerate_a2_masks(s)
+    for a in range(s.order):
+        for b in range(s.order):
             ca, cb = dec.component_of[a], dec.component_of[b]
             if not dec.lt(ca, cb):
                 continue
             pair = (1 << a) | (1 << b)
-            if pair not in sd.a2:
+            if pair not in a2:
                 continue
             img = image[pair]
             ok = img == (image[1 << a] | image[1 << b]) and image[1 << a].bit_count() == 1
             ck.count(ok, "pair {{{},{}}} maps to {:#x}", a, b, img)
 
 
-def _nonmaximal_checks(checks, sd: SideData, image: list[int]) -> None:
+def _nonmaximal_checks(checks, s: CayleyTable, image: list[int]) -> None:
     ck = checks["nonmaximal-singleton-image"]
-    for alpha in sd.zero_components():
-        for a in sd.dec.component_elements(alpha):
-            if sd.order.maximal[a]:
+    dec = decompose(s)
+    maximal = natural_order(s).maximal
+    for alpha in _zero_components(dec):
+        for a in dec.component_elements(alpha):
+            if maximal[a]:
                 continue
             img = image[1 << a]
             ck.count(img.bit_count() == 1, "non-maximal {} has image {:#x}", a, img)
 
 
 def _cross_component_checks(
-    checks, sd: SideData, se: SideData, image: list[int], preimage: list[int], prod, prod2, theta: IsoMap
+    checks, s: CayleyTable, s2: CayleyTable, image: list[int], preimage: list[int], theta: IsoMap
 ) -> None:
     ck_pre = checks["preimage-sandwich-transfer"]
     ck_single = checks["cross-sandwich-singleton"]
     ck_rho = checks["rho-image-transfer"]
-    dec = sd.dec
+    dec, dec2 = decompose(s), decompose(s2)
+    prod, prod2 = power_of(s).product_mask, power_of(s2).product_mask
+    sandwiches = _sandwiches(s)
     for alpha in range(dec.count):
         for beta in range(dec.count):
             if not dec.lt(beta, alpha):
                 continue
             for a in dec.component_elements(alpha):
                 img = image[1 << a]
-                sandwiches = sd.sandwiches[a, beta]
+                pairs = sandwiches[a, beta]
                 for s_el in bits(img):
                     pre = preimage[1 << s_el]
-                    for bm, rhs in sandwiches:
+                    for bm, rhs in pairs:
                         ck_pre.count(
                             prod(prod(pre, bm), pre) == rhs,
                             "conjugates of {:#x} by preimage of {} and by {} differ", bm, s_el, a,
                         )
-                for t_el in bits(se.dec.components[theta.forward[beta]]):
+                for t_el in bits(dec2.components[theta.forward[beta]]):
                     sandwich = prod2(prod2(img, 1 << t_el), img)
                     ck_single.count(
                         sandwich.bit_count() == 1, "image of {} against {} gives {:#x}", a, t_el, sandwich
                     )
-            for s_el in bits(se.dec.components[theta.forward[alpha]]):
+            for s_el in bits(dec2.components[theta.forward[alpha]]):
                 for b in dec.component_elements(beta):
                     sandwich = prod2(prod2(1 << s_el, image[1 << b]), 1 << s_el)
                     ck_single.count(
                         sandwich.bit_count() == 1, "{} against the image of {} gives {:#x}", s_el, b, sandwich
                     )
-    for alpha in sd.zero_components():
+    for alpha in _zero_components(dec):
         rho_a = rho_partition(dec, alpha)
-        rho_b = rho_partition(se.dec, theta.forward[alpha])
+        rho_b = rho_partition(dec2, theta.forward[alpha])
         comp_mask = dec.components[alpha]
         for a in dec.component_elements(alpha):
             block_mask = mask_of(rho_a.block_containing(a))
@@ -1104,11 +1078,13 @@ def _cross_component_checks(
                     )
 
 
-def _rho_checks(checks, sd: SideData, prod, t) -> None:
-    dec = sd.dec
+def _rho_checks(checks, s: CayleyTable, prod) -> None:
+    dec = decompose(s)
+    t = s.table
+    sandwiches = _sandwiches(s)
     ck_col = checks["rho-sandwich-collapse"]
     ck_tr = checks["rho-lower-translation"]
-    for alpha in sd.zero_components():
+    for alpha in _zero_components(dec):
         rho = rho_partition(dec, alpha)
         below = [b for b in range(dec.count) if dec.lt(b, alpha)]
         above = [g for g in range(dec.count) if dec.lt(alpha, g)]
@@ -1117,7 +1093,7 @@ def _rho_checks(checks, sd: SideData, prod, t) -> None:
             for a in block:
                 for am in _submasks(block_mask):
                     for beta in below:
-                        for bm, rhs in sd.sandwiches[a, beta]:
+                        for bm, rhs in sandwiches[a, beta]:
                             lhs = prod(prod(am, bm), am)
                             ck_col.count(lhs == rhs, "{:#x}*{:#x}*{:#x} != sandwich by {}", am, bm, am, a)
                     for gamma in above:

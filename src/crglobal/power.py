@@ -3,8 +3,8 @@
 Subset products come from per-element translate rows: ``row_i[B]`` is the
 mask of {i}*B for every mask B, and A*B is the OR of ``row_i[B]`` over the
 elements i of A.  The rows and the vectors of squares B*B and right ideals B*S
-are each built once per power semigroup, by doubling over the bits of B, and
-stored as compact arrays (order 12: 12 x 4096 entries).  Each size bound is a
+are each built once per power semigroup by :func:`subset_or`, and stored as
+compact arrays (order 12: 12 x 4096 entries).  Each size bound is a
 module constant, checked where the structure it protects is built.  The
 order/cover/Green structure is computed on demand; Green classes come from
 :func:`green_relations` of the materialized power table only.  Subsets are
@@ -16,15 +16,8 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .core import CayleyTable, GreenData, bits, derived, green_relations
-from .errors import (
-    EmptySubsetError,
-    NotComparableError,
-    NotIdempotentError,
-    NotLeftZeroError,
-    OrderTooLargeError,
-    ParentMismatchError,
-)
+from .core import CayleyTable, GreenData, bits, check_subset_mask, derived, green_relations, subset_or
+from .errors import NotComparableError, NotIdempotentError, NotLeftZeroError, OrderTooLargeError
 
 # masks are stored as 16-bit array entries
 MAX_ORDER = 16
@@ -51,19 +44,12 @@ class Power:
 
     # -- products ---------------------------------------------------------
 
-    def _doubled(self, images) -> array:
-        """out[B] = OR of images[j] over the bits j of B, one doubling per bit."""
-        out = array("H", [0])
-        for img in images:
-            out += array("H", [v | img for v in out])
-        return out
-
     def translate_rows(self) -> list[array]:
         """``rows[i][B]`` is the mask of {i}*B, for every element i and mask B."""
         if self._rows is None:
             if self.n > MAX_ORDER:
                 raise OrderTooLargeError(f"order {self.n} exceeds the enumeration bound {MAX_ORDER}")
-            self._rows = [self._doubled([1 << x for x in row]) for row in self.base.table]
+            self._rows = [array("H", subset_or([1 << x for x in row])) for row in self.base.table]
         return self._rows
 
     def product_mask(self, am: int, bm: int) -> int:
@@ -82,7 +68,7 @@ class Power:
             t = self.base.table
             sq = array("H", [0])
             for j, row in enumerate(self.translate_rows()):
-                col = self._doubled([1 << t[x][j] for x in range(j)])
+                col = subset_or([1 << t[x][j] for x in range(j)])
                 sq += array("H", [s | c | r for s, c, r in zip(sq, col, row[1 << j : 2 << j])])
             self._squares = sq
         return self._squares
@@ -91,28 +77,23 @@ class Power:
         """``right_ideals()[B]`` is B*S for every mask B (0 at the empty mask)."""
         if self._right_ideals is None:
             full = self.full_mask
-            self._right_ideals = self._doubled([row[full] for row in self.translate_rows()])
+            self._right_ideals = array("H", subset_or([row[full] for row in self.translate_rows()]))
         return self._right_ideals
 
     def table(self) -> CayleyTable:
         """The power semigroup materialized over mask-1 indices, built once.
 
         Each row is one int of 16-bit lanes, lane B holding the mask of A*B:
-        the row of A is the row of A without its lowest element ORed with
-        that element's translate row.  Subtracting a lane of ones turns masks
-        into indices without a borrow, since a product of nonempty subsets
-        is nonempty.
+        the OR of the translate rows of the elements of A.  Subtracting a
+        lane of ones turns masks into indices without a borrow, since a
+        product of nonempty subsets is nonempty.
         """
         if self._table is None:
             if self.full_mask > MAX_TABLE_SIZE:
                 raise OrderTooLargeError(f"power semigroup has {self.full_mask} elements, bound is {MAX_TABLE_SIZE}")
             size = self.full_mask
             order = sys.byteorder  # the byte order of array("H")
-            translates = [int.from_bytes(row, order) for row in self.translate_rows()]
-            lanes = [0]
-            for am in range(1, size + 1):
-                low = am & -am
-                lanes.append(lanes[am ^ low] | translates[low.bit_length() - 1])
+            lanes = subset_or([int.from_bytes(row, order) for row in self.translate_rows()])
             # lane 0, the empty mask, is 0 in every row and is dropped
             ones = int.from_bytes(array("H", [0] + [1] * size), order)
             width = 2 * (size + 1)
@@ -130,11 +111,7 @@ class Power:
     def check_mask(self, m: int) -> int:
         """``m`` itself, once checked to be an element of the power semigroup:
         the mask of a nonempty subset of the base."""
-        if m == 0:
-            raise EmptySubsetError("the power semigroup contains only nonempty subsets")
-        if m < 0 or m > self.full_mask:
-            raise ParentMismatchError(f"mask {m:#x} is not a subset of the order-{self.n} carrier")
-        return m
+        return check_subset_mask(self.base, m)
 
     def is_idempotent_mask(self, m: int) -> bool:
         return self.squares()[self.check_mask(m)] == m

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable, bits, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, mask_of, restrict
-from .errors import DecompositionError, EmptySubsetError, NotCompletelyRegularError, ParentMismatchError
+from .core import CayleyTable, bits, check_subset_mask, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, mask_of, restrict
+from .errors import DecompositionError, NotCompletelyRegularError
 
 LEFT_ZERO = "left-zero"
 RIGHT_ZERO = "right-zero"
@@ -96,11 +96,7 @@ def _check_semilattice(y: CayleyTable) -> None:
 
 def id_set_mask(mask: int, dec: Decomposition) -> frozenset[int]:
     """Components meeting the subset: its support in the semilattice."""
-    if mask == 0:
-        raise EmptySubsetError("support of the empty subset is undefined")
-    if mask >> dec.base.order:
-        raise ParentMismatchError(f"mask {mask:#x} is not a subset of the order-{dec.base.order} carrier")
-    return frozenset({dec.component_of[e] for e in bits(mask)})
+    return frozenset({dec.component_of[e] for e in bits(check_subset_mask(dec.base, mask))})
 
 
 def idset_product(dec: Decomposition, xs: frozenset[int], ys: frozenset[int]) -> frozenset[int]:

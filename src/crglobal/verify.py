@@ -16,6 +16,7 @@ from .breakable import (
     a2_characterization,
     a3_characterization,
     enumerate_a3_masks,
+    is_a3_mask,
     left_zero_subset_masks,
     satisfies_an_mask,
     structural_form,
@@ -26,7 +27,6 @@ from .core import (
     green_relations,
     is_completely_regular,
     is_left_zero,
-    is_subsemigroup_mask,
     validate_table,
 )
 from .errors import FalsificationError, ThetaNotSingletonError
@@ -99,9 +99,9 @@ def check_a3_equivalence(members) -> list[Record]:
 
 def _a3_problems(s: CayleyTable):
     p = power_of(s)
-    a3 = set(enumerate_a3_masks(s))
+    a3 = enumerate_a3_masks(s)
     for am in p.idempotent_masks():
-        direct = is_subsemigroup_mask(s, am) and satisfies_an_mask(s, am, 3)
+        direct = is_a3_mask(s, am)
         if direct != a3_characterization(p, am):
             yield f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
         elif direct != (am in a3):

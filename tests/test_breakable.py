@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from oracles import oracle_chunks, oracle_dual
 
-from crglobal import families
+from crglobal import families, globaldet
 from crglobal.breakable import (
     a2_characterization,
     a2_counterexample,
@@ -19,7 +19,8 @@ from crglobal.breakable import (
 )
 from crglobal.core import CayleyTable
 from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
-from crglobal.globaldet import power_of, side_data
+from crglobal.globaldet import IsoMap, extract_theta, lift, power_of, verify_member_statements, verify_statement_suite
+from crglobal.structure import decompose
 
 
 def test_satisfies_an_examples():
@@ -39,15 +40,15 @@ def test_satisfies_an_requires_closure():
 
 def test_enumerate_counts(named):
     l2 = families.left_zero(2)
-    assert enumerate_a2_masks(l2) == [1, 2, 3]
-    assert enumerate_a2bar_masks(l2) == [1, 2, 3]
+    assert list(enumerate_a2_masks(l2)) == [1, 2, 3]
+    assert list(enumerate_a2bar_masks(l2)) == [1, 2, 3]
     z2 = families.cyclic_group(2)
-    assert enumerate_a3_masks(z2) == [1, 3]
-    assert enumerate_a2_masks(z2) == [1]
+    assert list(enumerate_a3_masks(z2)) == [1, 3]
+    assert list(enumerate_a2_masks(z2)) == [1]
     c3 = named["clifford-3"]
-    assert enumerate_a2_masks(c3) == [1, 2, 3]
-    assert enumerate_a3_masks(c3) == [1, 2, 3, 6, 7]
-    assert enumerate_a2bar_masks(c3) == [1, 2]
+    assert list(enumerate_a2_masks(c3)) == [1, 2, 3]
+    assert list(enumerate_a3_masks(c3)) == [1, 2, 3, 6, 7]
+    assert list(enumerate_a2bar_masks(c3)) == [1, 2]
 
 
 def test_enumerate_bound():
@@ -57,10 +58,19 @@ def test_enumerate_bound():
 
 def test_each_enumeration_is_cached_once_per_table(named):
     # each value is computed once per table instance: count runs of each
-    # body across side_data, direct calls and the a2bar chain
+    # body across the statements, direct calls and the a2bar chain
     s = named["clifford-3"]
     fresh = CayleyTable(s.order, s.table, s.labels)
-    cached = (enumerate_a3_masks, enumerate_a2_masks, enumerate_a2bar_masks, side_data)
+    identity = tuple(range(s.order))
+    psi = lift(IsoMap("elements", identity, identity, verified=True))
+    theta = extract_theta(psi, decompose(fresh), decompose(fresh))
+    cached = (
+        enumerate_a3_masks,
+        enumerate_a2_masks,
+        enumerate_a2bar_masks,
+        globaldet._support_groups,
+        globaldet._sandwiches,
+    )
     bodies = {fn.__wrapped__.__code__: fn.__name__ for fn in cached}
     runs = Counter()
 
@@ -70,10 +80,12 @@ def test_each_enumeration_is_cached_once_per_table(named):
 
     sys.setprofile(profile)
     try:
-        side_data(fresh)
+        verify_member_statements(fresh)
         enumerate_a2_masks(fresh)
         enumerate_a2bar_masks(fresh)
-        side_data(fresh)
+        verify_statement_suite(fresh, fresh, psi, theta)
+        verify_member_statements(fresh)
+        verify_statement_suite(fresh, fresh, psi, theta)
     finally:
         sys.setprofile(None)
     assert runs == {fn.__name__: 1 for fn in cached}

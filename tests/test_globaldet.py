@@ -114,7 +114,8 @@ def test_derived_data_is_freed_with_its_table(named):
     # the data lives on the table instance, so nothing module-level keeps it
     fresh = relabel(named["z2-over-lz2"], [3, 1, 0, 2])
     power_of(fresh).table()
-    globaldet.side_data(fresh)
+    verify_member_statements(fresh)
+    globaldet._support_groups(fresh)
     decompose(fresh)
     enumerate_a2bar_masks(fresh)
     ref = weakref.ref(fresh)
@@ -690,9 +691,9 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     in_suite = []
     shape_checks = globaldet._a3_shape_checks
 
-    def counting_shape_checks(checks, sd, prod):
-        shape_runs.append((sd.table, bool(in_suite)))
-        return shape_checks(checks, sd, prod)
+    def counting_shape_checks(checks, s, prod):
+        shape_runs.append((s, bool(in_suite)))
+        return shape_checks(checks, s, prod)
 
     suites = []
 
@@ -716,12 +717,12 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     # the per-table data of the checks that run once per map is built once
     # per table, and the suite gives the same records on fresh tables
     members = [(name, fresh(s)) for name, s in cr4]
-    watched = {getattr(globaldet.SideData, name).func.__code__: name for name in ("support_groups", "sandwiches")}
+    watched = {getattr(globaldet, name).__wrapped__.__code__: name for name in ("_support_groups", "_sandwiches")}
     builds = Counter()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in watched:
-            builds[watched[frame.f_code], frame.f_locals["self"].table] += 1
+            builds[watched[frame.f_code], frame.f_locals["s"]] += 1
 
     suites.clear()
     shape_runs.clear()
@@ -733,8 +734,8 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     sides = {s for _, s in members}
     assert shape_runs == []
     assert set(builds.values()) == {1}, builds
-    assert {t for name, t in builds if name == "support_groups"} == {s for s, _, _, _ in suites}
-    assert {t for name, t in builds if name == "sandwiches"} <= sides
+    assert {t for name, t in builds if name == "_support_groups"} == {s for s, _, _, _ in suites}
+    assert {t for name, t in builds if name == "_sandwiches"} <= sides
     for s, s2, psi, records in suites:
         assert run_suite(fresh(s), fresh(s2), psi) == records
 
@@ -754,21 +755,25 @@ def test_member_statements_have_one_record_per_sweep_member():
 def plant_sandwich_fault(monkeypatch, target):
     """Make every table equal to ``target`` report one wrong element sandwich
     {a}*B*{a}, with a in a zero component: one fact the member statement
-    ``rho-sandwich-collapse`` reads."""
-    build = globaldet.SideData.sandwiches.func
-    built = {}
+    ``rho-sandwich-collapse`` reads.  The wrong value goes into the
+    ``_sandwiches`` slot of each such table as the table first reads it,
+    and the slot is restored after the test."""
+    build = globaldet._sandwiches
+    slot = build.__wrapped__
+    planted = []
 
-    def sandwiches(sd):
-        if sd not in built:
-            out = built[sd] = build(sd)
-            if sd.table == target:
-                dec = sd.dec
-                a, beta = next(k for k in out if dec.classification[dec.component_of[k[0]]] in (LEFT_ZERO, RIGHT_ZERO))
-                (bm, rhs), *rest = out[a, beta]
-                out[a, beta] = [(bm, rhs ^ 1), *rest]
-        return built[sd]
+    def sandwiches(s):
+        out = build(s)
+        if s == target and not any(out is p for p in planted):
+            dec = decompose(s)
+            a, beta = next(k for k in out if dec.classification[dec.component_of[k[0]]] in (LEFT_ZERO, RIGHT_ZERO))
+            (bm, rhs), *rest = out[a, beta]
+            out = {**out, (a, beta): [(bm, rhs ^ 1), *rest]}
+            monkeypatch.setitem(s._derived, slot, out)
+            planted.append(out)
+        return out
 
-    monkeypatch.setattr(globaldet.SideData, "sandwiches", property(sandwiches))
+    monkeypatch.setattr(globaldet, "_sandwiches", sandwiches)
 
 
 def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monkeypatch):

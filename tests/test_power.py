@@ -5,8 +5,8 @@ import pytest
 from oracles import oracle_dual, oracle_mask, oracle_power_green, oracle_power_rows, oracle_subset_product
 
 from crglobal import families
-from crglobal.breakable import a2_counterexample, a3_counterexample
-from crglobal.core import bits, is_completely_regular
+from crglobal.breakable import a2_counterexample, a3_counterexample, satisfies_an_mask, structural_form
+from crglobal.core import bits, is_completely_regular, is_subsemigroup_mask
 from crglobal.errors import (
     EmptySubsetError,
     NotComparableError,
@@ -46,6 +46,9 @@ def test_mask_entry_points_check_parent_and_emptiness():
         lambda m: h_class_of_left_zero_set(p, m),
         lambda m: a3_counterexample(p, m),
         lambda m: a2_counterexample(p, m),
+        lambda m: is_subsemigroup_mask(p.base, m),
+        lambda m: satisfies_an_mask(p.base, m, 2),
+        lambda m: structural_form(p.base, m),
     ]
     for call in entry_points:
         with pytest.raises(EmptySubsetError):

@@ -1,0 +1,81 @@
+"""Rules on the library source, read from its syntax trees: no check rests
+on ``assert``, which ``python -O`` strips, and derived data is cached on the
+table by ``core.derived``, so the functools caches appear only on the two
+process-level values that are not per table."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "crglobal").glob("*.py"))
+CACHES = {"cached_property", "lru_cache", "cache"}
+# (module, function) pairs allowed a functools cache
+PROCESS_CACHES = {("families", "corpus"), ("cli", "build_parser")}
+
+
+def cache_uses(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(innermost enclosing function or class, line) of each reference to a
+    functools cache outside the import statements; a decorator belongs to
+    the function it decorates."""
+    modules, names = {"functools"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in CACHES}
+    uses = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id in names:
+                uses.append((owner, child.lineno))
+            elif (
+                isinstance(child, ast.Attribute)
+                and child.attr in CACHES
+                and isinstance(child.value, ast.Name)
+                and child.value.id in modules
+            ):
+                uses.append((owner, child.lineno))
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if scope else owner)
+
+    visit(tree, None)
+    return uses
+
+
+def test_sources_are_found():
+    assert {p.stem for p in SOURCES} >= {"core", "globaldet", "families", "cli"}
+
+
+def test_no_check_rests_on_assert():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_functools_caches_only_on_process_level_values():
+    found = [
+        f"{path.name}:{line} in {owner}"
+        for path in SOURCES
+        for owner, line in cache_uses(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.stem, owner) not in PROCESS_CACHES
+    ]
+    assert found == []
+
+
+def test_cache_uses_sees_each_spelling():
+    # the rule's own control: every way of naming a cache is reported
+    tree = ast.parse(
+        "import functools as ft\n"
+        "from functools import cache, cached_property as cp\n"
+        "class A:\n"
+        "    @cp\n"
+        "    def x(self): ...\n"
+        "@ft.lru_cache(maxsize=None)\n"
+        "def f(): ...\n"
+        "g = cache(len)\n"
+    )
+    assert cache_uses(tree) == [("x", 4), ("f", 6), (None, 8)]
