@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable, bits, derived, green_relations, is_subsemigroup_mask, mask_of
-from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError
-from .power import MAX_ORDER, Power, positions, power_of
+from .core import CayleyTable, bits, derived, green_relations, is_subsemigroup_mask
+from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError
+from .power import Power, positions, power_of
 from .structure import decompose, id_set_mask
 
 TWO_GROUP_TOP = "two-group-top"
@@ -70,10 +70,8 @@ def _products_among_factors(t, mask: int, n: int) -> bool:
 def enumerate_a3_masks(s: CayleyTable) -> dict[int, None]:
     """The triple-condition subsemigroups ascending, as the keys of a dict so
     that membership is one lookup, like the two enumerations below."""
-    if s.order > MAX_ORDER:
-        raise OrderTooLargeError(f"order {s.order} exceeds the subset-scan bound {MAX_ORDER}")
     # A is closed exactly when A*A lies inside A
-    squares = power_of(s).squares()
+    squares = power_of(s).squares
     t = s.table
     return dict.fromkeys(m for m in range(1, 1 << s.order) if squares[m] | m == m and _products_among_factors(t, m, 3))
 
@@ -137,7 +135,7 @@ def a3_counterexample(p: Power, am: int) -> int | None:
     """First B with B*B = B*A = A but B != A, or None when A is rigid."""
     if not p.is_idempotent_mask(am):
         raise NotIdempotentError("the rigidity scan applies to idempotent subsets")
-    for bm in positions(p.squares(), am):
+    for bm in positions(p.squares, am):
         if bm != am and p.product_mask(bm, am) == am:
             return bm
     return None
@@ -151,8 +149,8 @@ def a2_counterexample(p: Power, am: int) -> int | None:
     """First B with A*S = B*S and B*A = A*B = A whose square moves, or None."""
     if not is_a3_mask(p.base, am):
         raise NotA3Error("the idempotency scan applies below the triple-product class")
-    ideals = p.right_ideals()
-    squares = p.squares()
+    ideals = p.right_ideals
+    squares = p.squares
     for bm in positions(ideals, ideals[am]):
         if squares[bm] != bm and p.product_mask(bm, am) == am and p.product_mask(am, bm) == am:
             return bm
@@ -164,13 +162,7 @@ def a2_characterization(p: Power, am: int) -> bool:
 
 
 def left_zero_subset_masks(s: CayleyTable) -> list[int]:
-    """All left zero subsemigroups, as masks (singleton idempotents included)."""
+    """All left zero subsemigroups ascending, as masks (singleton idempotents
+    included); each satisfies the pair condition, since ab = a."""
     t = s.table
-    idem = mask_of(e for e in range(s.order) if t[e][e] == e)
-    out = []
-    for m in range(1, 1 << s.order):
-        if m & ~idem:
-            continue
-        if all(t[i][j] == i for i in bits(m) for j in bits(m)):
-            out.append(m)
-    return out
+    return [m for m in enumerate_a2_masks(s) if all(t[i][j] == i for i in bits(m) for j in bits(m))]

@@ -185,7 +185,14 @@ def cmd_globaliso(args) -> int:
 
 def cmd_verify(args) -> int:
     inject = bool(os.environ.get(ENV_INJECT))
-    records = run_all(args.profile, inject_non_cr=inject)
+    try:
+        records = run_all(args.profile, inject_non_cr=inject)
+    except FalsificationError:
+        raise
+    except SemigroupError as exc:
+        # the battery reads no input, so a refusal from inside it is the
+        # library contradicting itself
+        raise FalsificationError(f"the battery refused its own data: {exc}") from exc
     sys.stdout.write(records_to_json_lines(records))
     print(summarize(records), file=sys.stderr)
     return 0 if all(r.ok for r in records) else 3

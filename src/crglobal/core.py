@@ -96,7 +96,6 @@ class GreenData:
     dclass: tuple[int, ...]
     idempotent: tuple[bool, ...]
     local_identity: tuple[int | None, ...]
-    local_inverse: tuple[int | None, ...]
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,8 @@ def green_relations(s: CayleyTable) -> GreenData:
     """L/R/H classes by principal-ideal equality, D as L∘R, plus per-element
     group data.
 
-    ``local_identity``/``local_inverse`` are filled exactly for the elements
-    whose H-class is a group (detected by a*a staying H-related to a).
+    ``local_identity`` is filled exactly for the elements whose H-class is a
+    group (detected by a*a staying H-related to a).
     """
     n = s.order
     t = s.table
@@ -181,7 +180,6 @@ def green_relations(s: CayleyTable) -> GreenData:
 
     idem = tuple(t[a][a] == a for a in rng)
     local_identity: list[int | None] = [None] * n
-    local_inverse: list[int | None] = [None] * n
     h_members: dict[int, list[int]] = {}
     for a in rng:
         h_members.setdefault(hclass[a], []).append(a)
@@ -192,14 +190,9 @@ def green_relations(s: CayleyTable) -> GreenData:
         es = [e for e in members if idem[e]]
         if len(es) != 1:
             continue  # a group H-class has exactly one idempotent
-        e = es[0]
         for a in members:
-            local_identity[a] = e
-            for x in members:
-                if t[a][x] == e and t[x][a] == e:
-                    local_inverse[a] = x
-                    break
-    return GreenData(lclass, rclass, hclass, dclass, idem, tuple(local_identity), tuple(local_inverse))
+            local_identity[a] = es[0]
+    return GreenData(lclass, rclass, hclass, dclass, idem, tuple(local_identity))
 
 
 def is_completely_regular(s: CayleyTable) -> bool:

@@ -25,7 +25,7 @@ from .errors import (
     ThetaNotSingletonError,
     WrongComponentKindError,
 )
-from .power import positions, power_of
+from .power import positions, power_of, power_table
 from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, id_set_mask
 
 
@@ -398,11 +398,6 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
 # -- power tables and lifting ------------------------------------------------
 
 
-def power_table(s: CayleyTable) -> CayleyTable:
-    """The power semigroup materialized as a table over mask-1 indices."""
-    return power_of(s).table()
-
-
 def lift(phi: IsoMap) -> IsoMap:
     """Lift an element bijection to the subset level, elementwise."""
     if phi.kind != "elements":
@@ -584,7 +579,7 @@ def _support_groups(s: CayleyTable) -> list[tuple[list[int], list[bool]]]:
     """The nonempty subsets grouped by the R-classes they meet, groups of one
     left out, each group ascending and paired with, for each member after
     the first, whether its right ideal equals the first member's."""
-    ideals = power_of(s).right_ideals()
+    ideals = power_of(s).right_ideals
     # support[mask]: bit r set when mask meets R-class r
     support = subset_or([1 << r for r in green_relations(s).rclass])
     groups: dict[int, list[int]] = {}
@@ -781,7 +776,7 @@ def _image_bijections(checks, s: CayleyTable, s2: CayleyTable, image: list[int])
 def _a3_shape_checks(checks, s: CayleyTable, prod) -> None:
     g = green_relations(s)
     dec = decompose(s)
-    sq = power_of(s).squares()
+    sq = power_of(s).squares
     ck_id = checks["a3-local-identities"]
     ck_root = checks["a3-square-root-rigid"]
     ck_sup = checks["a3-square-support"]
@@ -880,7 +875,7 @@ def _power_green_checks(checks, s: CayleyTable) -> None:
     p = power_of(s)
     dec = decompose(s)
     pg = p.power_green()
-    ideals = p.right_ideals()
+    ideals = p.right_ideals
     by_r: dict[int, list[int]] = {}
     by_d: dict[int, list[int]] = {}
     for idx in range(p.full_mask):
@@ -903,7 +898,7 @@ def _power_green_checks(checks, s: CayleyTable) -> None:
 def _ideal_checks(checks, s: CayleyTable, s2: CayleyTable, image: list[int]) -> None:
     ck = checks["rclass-support-ideals"]
     p2 = power_of(s2)
-    ideals2 = p2.right_ideals()
+    ideals2 = p2.right_ideals
     for group, same in _support_groups(s):
         first = group[0]
         base2 = ideals2[image[first]]
@@ -926,13 +921,12 @@ def _ideal_checks(checks, s: CayleyTable, s2: CayleyTable, image: list[int]) -> 
 def _ep_order_checks(checks, s: CayleyTable, prod) -> None:
     dec = decompose(s)
     p = power_of(s)
-    rows = p.translate_rows()
     a2 = enumerate_a2_masks(s)
     for am in a2:
         ids_a = id_set_mask(am, dec)
         # A*B = B*A = A needs {b}*A and A*{b} inside A for every b in B
         inside = 0
-        for b, row in enumerate(rows):
+        for b, row in enumerate(p.rows):
             if row[am] | am == am and prod(am, 1 << b) | am == am:
                 inside |= 1 << b
         for bm in p.idempotent_masks():

@@ -2,13 +2,14 @@
 
 Subset products come from per-element translate rows: ``row_i[B]`` is the
 mask of {i}*B for every mask B, and A*B is the OR of ``row_i[B]`` over the
-elements i of A.  The rows and the vectors of squares B*B and right ideals B*S
-are each built once per power semigroup by :func:`subset_or`, and stored as
-compact arrays (order 12: 12 x 4096 entries).  Each size bound is a
-module constant, checked where the structure it protects is built.  The
-order/cover/Green structure is computed on demand; Green classes come from
-:func:`green_relations` of the materialized power table only.  Subsets are
-int masks throughout.
+elements i of A.  The rows, the vectors of squares B*B and right ideals B*S
+and the list of idempotent subsets are built with the power semigroup, the
+vectors by :func:`subset_or`, and stored as compact arrays (order 12:
+12 x 4096 entries); :func:`power_of` keeps one power semigroup per table.
+Each size bound is a module constant, checked where the structure it
+protects is built.  The order/cover/Green structure is computed on demand;
+Green classes come from :func:`green_relations` of the materialized power
+table only.  Subsets are int masks throughout.
 """
 
 from __future__ import annotations
@@ -30,30 +31,30 @@ MAX_GREEN_ORDER = 8
 
 
 class Power:
-    """Power semigroup of ``base``; products read the per-element translate rows."""
+    """Power semigroup of ``base``: ``rows[i][B]`` is {i}*B, ``squares[B]``
+    is B*B and ``right_ideals[B]`` is B*S, each 0 at the empty mask."""
 
     def __init__(self, base: CayleyTable):
+        if base.order > MAX_ORDER:
+            raise OrderTooLargeError(f"order {base.order} exceeds the enumeration bound {MAX_ORDER}")
         self.base = base
         self.n = base.order
-        self.full_mask = (1 << self.n) - 1
-        self._rows: list[array] | None = None
-        self._squares: array | None = None
-        self._right_ideals: array | None = None
-        self._table: CayleyTable | None = None
-        self._ep: list[int] | None = None
+        self.full_mask = full = (1 << self.n) - 1
+        t = base.table
+        self.rows = [array("H", subset_or([1 << x for x in row])) for row in t]
+        # with A = a + {j}, a below j: A*A = a*a | a*{j} | {j}*A
+        sq = array("H", [0])
+        for j, row in enumerate(self.rows):
+            col = subset_or([1 << t[x][j] for x in range(j)])
+            sq += array("H", [s | c | r for s, c, r in zip(sq, col, row[1 << j : 2 << j])])
+        self.squares = sq
+        self.right_ideals = array("H", subset_or([row[full] for row in self.rows]))
+        self._idempotents = [m for m in range(1, full + 1) if sq[m] == m]
 
     # -- products ---------------------------------------------------------
 
-    def translate_rows(self) -> list[array]:
-        """``rows[i][B]`` is the mask of {i}*B, for every element i and mask B."""
-        if self._rows is None:
-            if self.n > MAX_ORDER:
-                raise OrderTooLargeError(f"order {self.n} exceeds the enumeration bound {MAX_ORDER}")
-            self._rows = [array("H", subset_or([1 << x for x in row])) for row in self.base.table]
-        return self._rows
-
     def product_mask(self, am: int, bm: int) -> int:
-        rows = self._rows or self.translate_rows()
+        rows = self.rows
         out = 0
         while am:
             low = am & -am
@@ -61,68 +62,13 @@ class Power:
             am ^= low
         return out
 
-    def squares(self) -> array:
-        """``squares()[B]`` is B*B for every mask B (0 at the empty mask)."""
-        if self._squares is None:
-            # with A = a + {j}, a below j: A*A = a*a | a*{j} | {j}*A
-            t = self.base.table
-            sq = array("H", [0])
-            for j, row in enumerate(self.translate_rows()):
-                col = subset_or([1 << t[x][j] for x in range(j)])
-                sq += array("H", [s | c | r for s, c, r in zip(sq, col, row[1 << j : 2 << j])])
-            self._squares = sq
-        return self._squares
-
-    def right_ideals(self) -> array:
-        """``right_ideals()[B]`` is B*S for every mask B (0 at the empty mask)."""
-        if self._right_ideals is None:
-            full = self.full_mask
-            self._right_ideals = array("H", subset_or([row[full] for row in self.translate_rows()]))
-        return self._right_ideals
-
-    def table(self) -> CayleyTable:
-        """The power semigroup materialized over mask-1 indices, built once.
-
-        Each row is one int of 16-bit lanes, lane B holding the mask of A*B:
-        the OR of the translate rows of the elements of A.  Subtracting a
-        lane of ones turns masks into indices without a borrow, since a
-        product of nonempty subsets is nonempty.
-        """
-        if self._table is None:
-            if self.full_mask > MAX_TABLE_SIZE:
-                raise OrderTooLargeError(f"power semigroup has {self.full_mask} elements, bound is {MAX_TABLE_SIZE}")
-            size = self.full_mask
-            order = sys.byteorder  # the byte order of array("H")
-            lanes = subset_or([int.from_bytes(row, order) for row in self.translate_rows()])
-            # lane 0, the empty mask, is 0 in every row and is dropped
-            ones = int.from_bytes(array("H", [0] + [1] * size), order)
-            width = 2 * (size + 1)
-            # entries above 256, past CPython's shared small ints, are read
-            # from one list so that equal entries share one int object
-            shared = list(range(size)).__getitem__ if size > 257 else None
-            rows = []
-            for lane in lanes[1:]:
-                row = array("H")
-                row.frombytes((lane - ones).to_bytes(width, order))
-                rows.append(tuple(map(shared, row[1:]) if shared else row[1:]))
-            self._table = CayleyTable(size, tuple(rows))
-        return self._table
-
-    def check_mask(self, m: int) -> int:
-        """``m`` itself, once checked to be an element of the power semigroup:
-        the mask of a nonempty subset of the base."""
-        return check_subset_mask(self.base, m)
-
     def is_idempotent_mask(self, m: int) -> bool:
-        return self.squares()[self.check_mask(m)] == m
+        return self.squares[check_subset_mask(self.base, m)] == m
 
     # -- idempotent subsets and their order --------------------------------
 
     def idempotent_masks(self) -> list[int]:
-        if self._ep is None:
-            sq = self.squares()
-            self._ep = [m for m in range(1, self.full_mask + 1) if sq[m] == m]
-        return self._ep
+        return self._idempotents
 
     def ep_leq_mask(self, am: int, bm: int) -> bool:
         if not (self.is_idempotent_mask(am) and self.is_idempotent_mask(bm)):
@@ -148,7 +94,7 @@ class Power:
     def h_class(self, am: int) -> list[int]:
         """H-class of A in the power semigroup, read from :meth:`power_green`,
         so a base above ``MAX_GREEN_ORDER`` is refused."""
-        self.check_mask(am)
+        check_subset_mask(self.base, am)
         hclass = self.power_green().hclass
         return [i + 1 for i in positions(hclass, hclass[am - 1])]
 
@@ -156,7 +102,7 @@ class Power:
         """Green classes over every nonempty subset, indexed by mask - 1:
         :func:`green_relations` of the materialized power table."""
         check_green_order(self.n)
-        return green_relations(self.table())
+        return green_relations(power_table(self.base))
 
 
 def check_green_order(n: int) -> None:
@@ -169,6 +115,34 @@ def check_green_order(n: int) -> None:
 def power_of(s: CayleyTable) -> Power:
     """The power semigroup of ``s``, built once per table instance."""
     return Power(s)
+
+
+@derived
+def power_table(s: CayleyTable) -> CayleyTable:
+    """The power semigroup materialized over mask-1 indices.
+
+    Each row is one int of 16-bit lanes, lane B holding the mask of A*B:
+    the OR of the translate rows of the elements of A.  Subtracting a lane
+    of ones turns masks into indices without a borrow, since a product of
+    nonempty subsets is nonempty.
+    """
+    size = (1 << s.order) - 1
+    if size > MAX_TABLE_SIZE:
+        raise OrderTooLargeError(f"power semigroup has {size} elements, bound is {MAX_TABLE_SIZE}")
+    order = sys.byteorder  # the byte order of array("H")
+    lanes = subset_or([int.from_bytes(row, order) for row in power_of(s).rows])
+    # lane 0, the empty mask, is 0 in every row and is dropped
+    ones = int.from_bytes(array("H", [0] + [1] * size), order)
+    width = 2 * (size + 1)
+    # entries above 256, past CPython's shared small ints, are read from one
+    # list so that equal entries share one int object
+    shared = list(range(size)).__getitem__ if size > 257 else None
+    rows = []
+    for lane in lanes[1:]:
+        row = array("H")
+        row.frombytes((lane - ones).to_bytes(width, order))
+        rows.append(tuple(map(shared, row[1:]) if shared else row[1:]))
+    return CayleyTable(size, tuple(rows))
 
 
 def positions(vector: array | tuple[int, ...], value: int):
@@ -191,7 +165,7 @@ def h_class_of_idempotent_singleton(p: Power, e: int) -> list[int]:
 
 def h_class_of_left_zero_set(p: Power, em: int) -> list[int]:
     """H-class of a left zero subsemigroup E in the power semigroup."""
-    p.check_mask(em)
+    check_subset_mask(p.base, em)
     t = p.base.table
     for i in bits(em):
         for j in bits(em):

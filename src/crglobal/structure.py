@@ -97,9 +97,3 @@ def _check_semilattice(y: CayleyTable) -> None:
 def id_set_mask(mask: int, dec: Decomposition) -> frozenset[int]:
     """Components meeting the subset: its support in the semilattice."""
     return frozenset({dec.component_of[e] for e in bits(check_subset_mask(dec.base, mask))})
-
-
-def idset_product(dec: Decomposition, xs: frozenset[int], ys: frozenset[int]) -> frozenset[int]:
-    """Setwise product of two supports inside the structure semilattice."""
-    t = dec.semilattice.table
-    return frozenset({t[x][y] for x in xs for y in ys})

@@ -72,6 +72,12 @@ def oracle_subset_product(s: CayleyTable, a: set[int], b: set[int]) -> set[int]:
     return {s.table[x][y] for x in a for y in b}
 
 
+def oracle_idset_product(dec, xs: frozenset[int], ys: frozenset[int]) -> frozenset[int]:
+    """Setwise product of two supports inside the structure semilattice."""
+    t = dec.semilattice.table
+    return frozenset({t[x][y] for x in xs for y in ys})
+
+
 def oracle_completely_regular(s: CayleyTable) -> bool:
     t = s.table
     n = s.order

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from crglobal import cli, families, verify
+from crglobal import breakable, cli, families, verify
 from crglobal.cli import build_parser, main, parse_table_text, table_to_json
 from crglobal.globaldet import Record, extract_theta
 from crglobal.verify import records_to_json_lines
@@ -243,6 +243,26 @@ def test_verify_injection_fails(capsys, monkeypatch, verify_digests):
     assert bad and all(rec["witness"] for rec in bad)
     assert hashlib.sha256(out.encode()).hexdigest() == verify_digests["injected-quick"]
 
+
+
+def test_verify_reports_a_library_contradiction_as_falsified(capsys, monkeypatch):
+    # verify reads no input but its profile, so a refusal raised inside the
+    # battery is the library contradicting itself: exit 3, never exit 2
+    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
+    real = breakable.is_a3_mask
+    planted = []
+
+    def is_a3_mask(s, mask):
+        if s.order == 3 and mask == 0b011 and not planted:
+            planted.append(mask)
+            return False
+        return real(s, mask)
+
+    monkeypatch.setattr(breakable, "is_a3_mask", is_a3_mask)
+    assert main(["verify", "--profile", "quick"]) == 3
+    err = capsys.readouterr().err
+    assert planted
+    assert err.startswith("falsified: ") and "triple-product class" in err
 
 # same-order pairs given to `globaliso`: self pairs with left zero, group and
 # rectangular band components, one labelled, and one pair with no subset

@@ -113,7 +113,7 @@ def relabel(s, perm):
 def test_derived_data_is_freed_with_its_table(named):
     # the data lives on the table instance, so nothing module-level keeps it
     fresh = relabel(named["z2-over-lz2"], [3, 1, 0, 2])
-    power_of(fresh).table()
+    power_table(fresh)
     verify_member_statements(fresh)
     globaldet._support_groups(fresh)
     decompose(fresh)

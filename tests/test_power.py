@@ -4,7 +4,7 @@ import pytest
 
 from oracles import oracle_dual, oracle_mask, oracle_power_green, oracle_power_rows, oracle_subset_product
 
-from crglobal import families
+from crglobal import families, power
 from crglobal.breakable import a2_counterexample, a3_counterexample, satisfies_an_mask, structural_form
 from crglobal.core import bits, is_completely_regular, is_subsemigroup_mask
 from crglobal.errors import (
@@ -17,7 +17,7 @@ from crglobal.errors import (
 )
 from crglobal.globaldet import power_of
 from crglobal.verify import cr_members
-from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set
+from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set, power_table
 
 
 def test_product_examples():
@@ -115,9 +115,9 @@ def test_enumerate_ep_counts(named):
 
 
 def test_enumerate_ep_bound():
-    p = Power(families.left_zero(17))
+    # the vectors are built with the power semigroup, so the bound is checked there
     with pytest.raises(OrderTooLargeError):
-        p.idempotent_masks()
+        power_of(families.left_zero(17))
 
 
 def test_table_bound_admits_order_11_and_refuses_order_12(monkeypatch):
@@ -126,23 +126,24 @@ def test_table_bound_admits_order_11_and_refuses_order_12(monkeypatch):
     class Built(Exception):
         pass
 
-    def build(self):
+    def build(s):
         raise Built
 
-    monkeypatch.setattr(Power, "translate_rows", build)
+    monkeypatch.setattr(power, "power_of", build)
     with pytest.raises(Built):
-        Power(families.left_zero(11)).table()
+        power_table(families.left_zero(11))
     with pytest.raises(OrderTooLargeError):
-        Power(families.left_zero(12)).table()
+        power_table(families.left_zero(12))
 
 
 def test_table_rows_match_set_products(cr5):
     # the lane-packed rows against literal set products, then against
     # product_mask at order 9, where masks no longer fit in one byte
     for name, s in cr5:
-        assert [list(row) for row in Power(s).table().table] == oracle_power_rows(s), name
-    p = Power(families.rect_band(3, 3))
-    rows = p.table().table
+        assert [list(row) for row in power_table(s).table] == oracle_power_rows(s), name
+    s = families.rect_band(3, 3)
+    p = power_of(s)
+    rows = power_table(s).table
     size = p.full_mask
     assert size == 511
     for am in range(1, size + 1):
@@ -198,12 +199,12 @@ def test_h_class_of_left_zero_set_examples():
 
 def test_right_ideal_examples():
     l2 = power_of(families.left_zero(2))
-    assert l2.right_ideals()[0b01] == 0b01
+    assert l2.right_ideals[0b01] == 0b01
     z2 = power_of(families.cyclic_group(2))
-    assert z2.right_ideals()[0b10] == 0b11
+    assert z2.right_ideals[0b10] == 0b11
     chain = power_of(families.chain_semilattice(2))
-    assert chain.right_ideals()[0b10] == 0b11
-    assert chain.right_ideals()[0b01] == 0b01
+    assert chain.right_ideals[0b10] == 0b11
+    assert chain.right_ideals[0b01] == 0b01
 
 
 def test_power_green_left_zero():
@@ -276,7 +277,7 @@ def test_squares_and_right_ideals_match_set_oracle(corpus_members):
         if s.order > 6:
             continue
         p = Power(s)
-        squares, ideals = p.squares(), p.right_ideals()
+        squares, ideals = p.squares, p.right_ideals
         assert len(squares) == len(ideals) == 1 << s.order, name
         carrier = set(range(s.order))
         for m in range(1, 1 << s.order):
@@ -286,8 +287,5 @@ def test_squares_and_right_ideals_match_set_oracle(corpus_members):
 
 
 def test_product_refuses_order_above_enumeration_bound():
-    p = Power(families.left_zero(17))
     with pytest.raises(OrderTooLargeError):
-        p.product_mask(1, 1)
-    with pytest.raises(OrderTooLargeError):
-        p.squares()
+        Power(families.left_zero(17))

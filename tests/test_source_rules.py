@@ -1,7 +1,8 @@
 """Rules on the library source, read from its syntax trees: no check rests
 on ``assert``, which ``python -O`` strips, and derived data is cached on the
 table by ``core.derived``, so the functools caches appear only on the two
-process-level values that are not per table."""
+process-level values that are not per table, and no object fills a slot of
+its own on first use."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,23 @@ def cache_uses(tree: ast.Module) -> list[tuple[str | None, int]]:
     return uses
 
 
+def lazy_slots(tree: ast.Module) -> list[int]:
+    """Lines that test ``self.<name> is None``: the check-then-fill memo of
+    a slot computed on first use."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Attribute)
+        and isinstance(node.left.value, ast.Name)
+        and node.left.value.id == "self"
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], ast.Is)
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+    ]
+
+
 def test_sources_are_found():
     assert {p.stem for p in SOURCES} >= {"core", "globaldet", "families", "cli"}
 
@@ -79,3 +97,23 @@ def test_cache_uses_sees_each_spelling():
         "g = cache(len)\n"
     )
     assert cache_uses(tree) == [("x", 4), ("f", 6), (None, 8)]
+
+
+def test_no_lazy_slots_beside_derived():
+    found = [
+        f"{path.name}:{line}" for path in SOURCES for line in lazy_slots(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_lazy_slots_sees_each_spelling():
+    # the rule's own control: the memo test is reported, other None tests are not
+    tree = ast.parse(
+        "class A:\n"
+        "    def f(self, x):\n"
+        "        if self._a is None:\n"
+        "            self._a = 1\n"
+        "        if self.labels is not None:\n"
+        "            return x is None\n"
+    )
+    assert lazy_slots(tree) == [3]
