@@ -1,6 +1,6 @@
 """Corpus-wide verification runner.
 
-Each function takes an explicit list of (name, table) members and returns
+Each runner takes an explicit list of (name, table) members and returns
 flat records; the CLI serializes them as JSON lines and the acceptance tests
 assert over them.  Everything is deterministic: member order, pair order,
 map discovery order and record order are all fixed.
@@ -9,7 +9,7 @@ map discovery order and record order are all fixed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote
 
 from .breakable import (
@@ -32,9 +32,11 @@ from .core import (
 from .errors import FalsificationError, ThetaNotSingletonError
 from .families import corpus
 from .globaldet import (
+    MEMBER_STATEMENT_IDS,
+    STATEMENT_IDS,
     IsoMap,
     Record,
-    STATEMENT_IDS,
+    _Check,
     construct_eta,
     extract_theta,
     find_isomorphisms,
@@ -77,68 +79,53 @@ def cr_members(members, max_order: int) -> list[tuple[str, CayleyTable]]:
     return [(name, s) for name, s in members if s.order <= max_order and is_completely_regular(s)]
 
 
-def _record(check: str, scope: str, problems) -> Record:
-    """Count the items of a lazy scan up to its first failure and stop there.
-
-    ``problems`` yields, per item, None when the item passes or the witness
-    that it fails.
-    """
-    count = 0
-    for witness in problems:
-        count += 1
-        if witness:
-            return Record(check, scope, count, False, witness)
-    return Record(check, scope, count, True)
+# the characterization families, checked per member beside the statements
+FAMILY_IDS = (
+    "a3-characterization-equivalence",
+    "a2-characterization-equivalence",
+    "structural-form",
+    "power-h-classes",
+)
 
 
-def check_a3_equivalence(members) -> list[Record]:
+def check_a3_equivalence(checks, s: CayleyTable) -> None:
     """Rigidity scan agrees with the triple-product condition on every
-    idempotent subset of every member."""
-    return [_record("a3-characterization-equivalence", name, _a3_problems(s)) for name, s in members]
-
-
-def _a3_problems(s: CayleyTable):
+    idempotent subset."""
+    ck = checks["a3-characterization-equivalence"]
     p = power_of(s)
     a3 = enumerate_a3_masks(s)
     for am in p.idempotent_masks():
         direct = is_a3_mask(s, am)
         if direct != a3_characterization(p, am):
-            yield f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
-        elif direct != (am in a3):
-            yield f"subset {am:#x}: enumeration disagrees with the direct check"
+            ck.fail(f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees")
         else:
-            yield None
+            ck.count(direct == (am in a3), "subset {:#x}: enumeration disagrees with the direct check", am)
 
 
-def check_a2_equivalence(members) -> list[Record]:
+def check_a2_equivalence(checks, s: CayleyTable) -> None:
     """Idempotency scan agrees with the pair-product condition below the
     triple-product class."""
-    return [_record("a2-characterization-equivalence", name, _a2_problems(s)) for name, s in members]
-
-
-def _a2_problems(s: CayleyTable):
+    ck = checks["a2-characterization-equivalence"]
     p = power_of(s)
     a2 = enumerate_a2_masks(s)
     for am in enumerate_a3_masks(s):
         direct = am in a2
-        if direct != a2_characterization(p, am):
-            yield f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees"
-        else:
-            yield None
+        ck.count(
+            direct == a2_characterization(p, am),
+            "subset {:#x} is {} the class but the scan disagrees",
+            am,
+            "in" if direct else "outside",
+        )
 
 
-def check_structural_forms(members) -> list[Record]:
+def check_structural_forms(checks, s: CayleyTable) -> None:
     """Every qualifying subsemigroup decomposes into an absorbing chain of
     zero chunks, with a group top exactly when pair products escape."""
-    return [_record("structural-form", name, _form_problems(s)) for name, s in members]
-
-
-def _form_problems(s: CayleyTable):
+    ck = checks["structural-form"]
     a2 = enumerate_a2_masks(s)
     for am in enumerate_a3_masks(s):
-        form = structural_form(s, am)
-        problem = _form_problem(s.table, am, form, am in a2)
-        yield f"subset {am:#x}: {problem}" if problem else None
+        problem = _form_problem(s.table, am, structural_form(s, am), am in a2)
+        ck.count(problem is None, "subset {:#x}: {}", am, problem)
 
 
 def _form_problem(t, am: int, form, breakable: bool) -> str | None:
@@ -181,21 +168,17 @@ def _form_problem(t, am: int, form, breakable: bool) -> str | None:
     return None
 
 
-def check_power_h_classes(members) -> list[Record]:
+def check_power_h_classes(checks, s: CayleyTable) -> None:
     """H-classes in the power semigroup match their element-level values for
     idempotent singletons and for left zero subsemigroups."""
-    return [_record("power-h-classes", name, _h_class_problems(s)) for name, s in members]
-
-
-def _h_class_problems(s: CayleyTable):
+    ck = checks["power-h-classes"]
     p = power_of(s)
     g = green_relations(s)
     for e in range(s.order):
-        if s.table[e][e] != e:
-            continue
-        got = set(h_class_of_idempotent_singleton(p, e))
-        want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
-        yield None if got == want else f"singleton {{{e}}}: got {sorted(got)}, expected {sorted(want)}"
+        if s.table[e][e] == e:
+            got = set(h_class_of_idempotent_singleton(p, e))
+            want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
+            ck.count(got == want, "singleton {{{}}}: got {}, expected {}", e, sorted(got), sorted(want))
     for em in left_zero_subset_masks(s):
         got = set(h_class_of_left_zero_set(p, em))
         translates = [
@@ -203,21 +186,27 @@ def _h_class_problems(s: CayleyTable):
         ]
         expected = translates[0]
         if any(t != expected for t in translates):
-            yield f"left zero {em:#x}: translate sets differ between members"
-        elif got != expected:
-            yield f"left zero {em:#x}: got {sorted(got)}, expected {sorted(expected)}"
+            ck.fail(f"left zero {em:#x}: translate sets differ between members")
         else:
-            yield None
+            ck.count(got == expected, "left zero {:#x}: got {}, expected {}", em, sorted(got), sorted(expected))
 
 
 def check_member_statements(members) -> list[Record]:
-    """The statements that read one semigroup and never a subset map, once
-    per member: each member's records in statement order."""
-    return [
-        Record(rec.check, name, rec.instances, rec.ok, rec.witness)
-        for name, s in members
-        for rec in verify_member_statements(s)
-    ]
+    """Every statement that reads one semigroup and never a subset map, once
+    per member: the families, then :data:`MEMBER_STATEMENT_IDS`.  A member
+    that is not completely regular fails each of them, and none runs on it."""
+    records = []
+    for name, s in members:
+        if is_completely_regular(s):
+            checks = {check: _Check(check) for check in FAMILY_IDS}
+            for group in (check_a3_equivalence, check_a2_equivalence, check_structural_forms, check_power_h_classes):
+                group(checks, s)
+            found = [ck.record() for ck in checks.values()] + verify_member_statements(s)
+        else:
+            witness = "not completely regular"
+            found = [Record(check, "", 1, False, witness) for check in FAMILY_IDS + MEMBER_STATEMENT_IDS]
+        records += [replace(rec, scope=name) for rec in found]
+    return records
 
 
 @dataclass
@@ -312,7 +301,7 @@ def coverage_records(records: list[Record]) -> list[Record]:
             coverage.get(name, 0) > 0,
             None if coverage.get(name, 0) else "statement never instantiated over the sweep",
         )
-        for name in STATEMENT_IDS
+        for name in FAMILY_IDS + STATEMENT_IDS
     ]
 
 
@@ -322,15 +311,9 @@ def run_all(profile: str = "full", inject_non_cr: bool = False) -> list[Record]:
     sweep_order = 4 if profile == "quick" else 5
     cr = cr_members(corpus(profile), max_order)
     # negative control: smuggle a non-regular table past the filter
-    scan = cr + [("injected-non-cr", NON_CR_INJECTION)] if inject_non_cr else cr
-    records: list[Record] = []
-    records.extend(check_a3_equivalence(scan))
-    records.extend(check_a2_equivalence(cr))
-    records.extend(check_structural_forms(cr))
-    records.extend(check_power_h_classes(cr))
-    members = [(name, s) for name, s in cr if s.order <= sweep_order]
-    records.extend(check_member_statements(members))
-    sweep = global_sweep(members)
+    injected = [("injected-non-cr", NON_CR_INJECTION)] if inject_non_cr else []
+    records = check_member_statements(cr + injected)
+    sweep = global_sweep([(name, s) for name, s in cr if s.order <= sweep_order])
     records.extend(sweep.records)
     records.extend(coverage_records(records))
     records.append(

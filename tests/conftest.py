@@ -7,9 +7,9 @@ from crglobal.verify import cr_members, global_sweep
 # CRGLOBAL_INJECT set; a change that alters the output on purpose updates
 # these digests and says so in CHANGES.md
 VERIFY_DIGESTS = {
-    "full": "3a1495980886d5703e636c1c50e4c1ffd96a1cd8e812f11a49d120a22e9c5266",
-    "quick": "3c039026f89be8bb16865204ba59315210819b3cd14b271e357eced3075f220e",
-    "injected-quick": "16bc50a2706d578d7c84f6f663ee01eb09c8a7b4ec25cf4bb4907fb51352111a",
+    "full": "f993235825299aaabe090e0b294118634155136cca5e64b1b6209892afa8ff19",
+    "quick": "8666ca0e143041529e7d8519797fbb2f580dabce80e0f661a2a39e644d08e180",
+    "injected-quick": "f02301c0733821a4ce528a6b32cdfff8e5a97c934223eca31364062561df894a",
 }
 
 

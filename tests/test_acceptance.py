@@ -1,7 +1,10 @@
 """Acceptance battery: one test per exit criterion, each printing a verdict line.
 
-Criteria 5-7 share one session-scoped sweep over every same-order pair of
-completely regular corpus members of order at most 5.
+Criteria 1-4 read their records from one per-member run over every
+completely regular corpus member of order at most 6, and each holds that
+whole run to its own budget.  Criteria 5-7 share one session-scoped sweep
+over every same-order pair of completely regular corpus members of order at
+most 5.
 """
 
 import hashlib
@@ -12,18 +15,13 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from crglobal import families
 from crglobal.breakable import enumerate_a3_masks
 from crglobal.cli import main
 from crglobal.globaldet import STATEMENT_IDS, power_of
-from crglobal.verify import (
-    check_a2_equivalence,
-    check_a3_equivalence,
-    check_member_statements,
-    check_power_h_classes,
-    check_structural_forms,
-    coverage_records,
-)
+from crglobal.verify import check_member_statements, coverage_records
 
 
 def _report(name, records, elapsed, budget):
@@ -34,28 +32,38 @@ def _report(name, records, elapsed, budget):
     assert elapsed < budget, f"{elapsed:.1f}s exceeds {budget}s"
 
 
-def test_criterion_1_a3_characterization_equivalence(cr6):
+@pytest.fixture(scope="module")
+def member_run(cr6):
     t0 = time.time()
-    records = check_a3_equivalence(cr6)
-    _report("criterion-1 triple-condition characterization", records, time.time() - t0, 30)
+    records = check_member_statements(cr6)
+    return records, time.time() - t0
 
 
-def test_criterion_2_a2_characterization_equivalence(cr6):
-    t0 = time.time()
-    records = check_a2_equivalence(cr6)
-    _report("criterion-2 pair-condition characterization", records, time.time() - t0, 30)
+def _report_family(label, check, member_run, cr6, budget):
+    records, elapsed = member_run
+    mine = [r for r in records if r.check == check]
+    assert [r.scope for r in mine] == [name for name, _ in cr6]
+    _report(label, mine, elapsed, budget)
 
 
-def test_criterion_3_structural_forms(cr6):
-    t0 = time.time()
-    records = check_structural_forms(cr6)
-    _report("criterion-3 chain forms", records, time.time() - t0, 30)
+def test_criterion_1_a3_characterization_equivalence(member_run, cr6):
+    _report_family(
+        "criterion-1 triple-condition characterization", "a3-characterization-equivalence", member_run, cr6, 30
+    )
 
 
-def test_criterion_4_power_h_classes(cr6):
-    t0 = time.time()
-    records = check_power_h_classes(cr6)
-    _report("criterion-4 power H-classes", records, time.time() - t0, 60)
+def test_criterion_2_a2_characterization_equivalence(member_run, cr6):
+    _report_family(
+        "criterion-2 pair-condition characterization", "a2-characterization-equivalence", member_run, cr6, 30
+    )
+
+
+def test_criterion_3_structural_forms(member_run, cr6):
+    _report_family("criterion-3 chain forms", "structural-form", member_run, cr6, 30)
+
+
+def test_criterion_4_power_h_classes(member_run, cr6):
+    _report_family("criterion-4 power H-classes", "power-h-classes", member_run, cr6, 60)
 
 
 def test_criterion_5_component_map(sweep):

@@ -6,6 +6,7 @@ import random
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from oracles import (
@@ -32,8 +33,10 @@ from crglobal.errors import (
 from crglobal.globaldet import (
     MEMBER_STATEMENT_IDS,
     PSI_STATEMENT_IDS,
+    STATEMENT_IDS,
     IsoMap,
     Record,
+    _Check,
     construct_eta,
     extract_theta,
     find_isomorphisms,
@@ -48,7 +51,15 @@ from crglobal.globaldet import (
     verify_statement_suite,
 )
 from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose
-from crglobal.verify import check_member_statements, collect_psis, cr_members, global_sweep, run_all
+from crglobal.verify import (
+    FAMILY_IDS,
+    check_a3_equivalence,
+    check_member_statements,
+    collect_psis,
+    cr_members,
+    global_sweep,
+    run_all,
+)
 
 
 def psis_of(s, s2, limit=8):
@@ -744,12 +755,38 @@ def test_member_statements_have_one_record_per_sweep_member():
     records = run_all("quick")
     members = [name for name, _ in cr_members(families.corpus("quick"), 4)]
     coverage = {r.scope: r.instances for r in records if r.check == "statement-coverage"}
-    for check in MEMBER_STATEMENT_IDS:
+    for check in FAMILY_IDS + MEMBER_STATEMENT_IDS:
         mine = [r for r in records if r.check == check]
         assert [r.scope for r in mine] == members, check
         assert coverage[check] == sum(r.instances for r in mine), check
     for check in PSI_STATEMENT_IDS:
         assert coverage[check] == sum(r.instances for r in records if r.check == check and "#psi" in r.scope)
+
+
+def test_verify_reports_statements_and_sweep_records_only():
+    # one claim mechanism: every per-member or per-map record is a statement
+    # with a coverage record, and the rest are the six sweep-level checks
+    records = run_all("quick")
+    statements = set(FAMILY_IDS + STATEMENT_IDS)
+    sweep_level = {
+        "power-nonisomorphic",
+        "theta-extraction",
+        "eta-construction",
+        "statement-coverage",
+        "psi-instance-floor",
+        "nonsingleton-psi-on-left-zero",
+    }
+    assert {r.check for r in records} <= statements | sweep_level
+    assert sorted(r.scope for r in records if r.check == "statement-coverage") == sorted(statements)
+
+
+def test_a_non_regular_table_fails_the_triple_scan_off_hypothesis():
+    # the triple-product scan is sharp: on the null semigroup of order 2, off
+    # the completely regular hypothesis, it disagrees with the direct check
+    checks = {check: _Check(check) for check in FAMILY_IDS}
+    check_a3_equivalence(checks, verify.NON_CR_INJECTION)
+    rec = checks["a3-characterization-equivalence"].record()
+    assert (rec.instances, rec.ok, rec.witness) == (1, False, "subset 0x1 is in the class but the scan disagrees")
 
 
 def plant_sandwich_fault(monkeypatch, target):
@@ -796,6 +833,29 @@ def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monke
     assert lines[0] == f"FAIL rho-sandwich-collapse: {rec.witness}"
     assert lines[1].startswith("psi 0: ")
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_a_planted_chunk_kind_fails_only_its_structural_form(named, cr4, capsys, monkeypatch):
+    # negative control for a characterization family: one wrong chunk kind in
+    # the chain form of one subset of one member fails that member's
+    # structural-form record and nothing else
+    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
+    name, mask = "left-zero-3", 0b011
+    target = named[name]
+    real = verify.structural_form
+
+    def structural_form(s, am):
+        form = real(s, am)
+        if s == target and am == mask:
+            return replace(form, kinds=("right-zero",) * len(form.kinds))
+        return form
+
+    monkeypatch.setattr(verify, "structural_form", structural_form)
+    failed = [(r.check, r.scope, r.witness) for r in check_member_statements(cr4) if not r.ok]
+    assert failed == [("structural-form", name, "subset 0x3: right zero chunk is not right zero")]
+    assert main(["verify", "--profile", "quick"]) == 3
+    failed = [(r["check"], r["scope"]) for r in map(json.loads, capsys.readouterr().out.splitlines()) if not r["ok"]]
+    assert failed == [("structural-form", name)]
 
 
 def test_transfer_work_is_done_once_per_table_and_map(cr5):

@@ -115,7 +115,9 @@ def test_enumerate_ep_counts(named):
 
 
 def test_enumerate_ep_bound():
-    # the vectors are built with the power semigroup, so the bound is checked there
+    # the vectors are built with the power semigroup, so the bound is checked
+    # there: the bound itself is admitted and one above it refused
+    assert len(power_of(families.left_zero(16)).squares) == 1 << 16
     with pytest.raises(OrderTooLargeError):
         power_of(families.left_zero(17))
 
