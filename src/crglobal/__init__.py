@@ -26,23 +26,21 @@ from .breakable import (
 )
 from .families import canonical_form, corpus, enumerate_small
 from .globaldet import (
-    IsoMap,
     Record,
     RhoPartition,
     STATEMENT_IDS,
     Transfer,
     construct_eta,
     extract_theta,
-    find_isomorphisms,
     lift,
     power_of,
     power_table,
     rho_partition,
     verify_member_statements,
-    verify_morphism,
     verify_statement_suite,
 )
 from .power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set
+from .search import IsoMap, find_isomorphisms, verify_morphism
 from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, id_set_mask
 
 __version__ = "0.1.0"

@@ -1,17 +1,16 @@
 """From a power-semigroup isomorphism to an element-level isomorphism.
 
-The pipeline: search isomorphisms between two tables (or between their power
-semigroups), read off the induced semilattice isomorphism on components,
-partition each left/right zero component by sandwich behaviour, and assemble
-an element bijection that is verified to be an isomorphism.  Every structural
-claim used along the way can be checked exhaustively by the statement suite.
+The pipeline: take the isomorphisms that :mod:`crglobal.search` finds between
+two tables (or between their power semigroups), read off the induced
+semilattice isomorphism on components, partition each left/right zero
+component by sandwich behaviour, and assemble an element bijection that is
+verified to be an isomorphism.  Every structural claim used along the way
+can be checked exhaustively by the statement suite.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import add, itemgetter
 
 from .breakable import a3_counterexample, enumerate_a2_masks, enumerate_a2bar_masks, enumerate_a3_masks
 from .core import CayleyTable, bits, derived, green_relations, mask_of, natural_order, subset_or
@@ -20,379 +19,17 @@ from .errors import (
     EtaNotMorphismError,
     FalsificationError,
     PsiImageNotSingletonError,
-    SearchBudgetExceededError,
-    SearchResultError,
     ThetaNotSingletonError,
     WrongComponentKindError,
 )
 from .power import positions, power_of, power_table
+# find_isomorphisms stays importable from here: the benchmark's tracer wraps it as globaldet.find_isomorphisms
+from .search import IsoMap, _invert, find_isomorphisms, verify_morphism  # noqa: F401
 from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, id_set_mask
-
-
-@dataclass(frozen=True)
-class IsoMap:
-    """A verified bijection between two carriers of the same kind.
-
-    kind is "elements", "subsets" (indexed by mask - 1) or "components".
-    """
-
-    kind: str
-    forward: tuple[int, ...]
-    inverse: tuple[int, ...]
-    verified: bool = False
-
-
-def _invert(forward) -> tuple[int, ...]:
-    inv = [0] * len(forward)
-    for i, v in enumerate(forward):
-        inv[v] = i
-    return tuple(inv)
-
-
-def verify_morphism(a: CayleyTable, b: CayleyTable, forward) -> bool:
-    if sorted(forward) != list(range(b.order)) or a.order != b.order:
-        return False
-    # row x of a relabelled by forward must equal row forward[x] of b read
-    # along forward; itemgetter does the lookups of a whole row in C
-    along = itemgetter(*forward)
-    tb = b.table
-    return all(itemgetter(*row)(forward) == along(tb[fx]) for row, fx in zip(a.table, forward))
 
 
 def psi_image_mask(psi: IsoMap, mask: int) -> int:
     return psi.forward[mask - 1] + 1
-
-
-# -- invariant colouring and backtracking search ----------------------------
-
-
-def _order_profile(t: CayleyTable, x: int) -> tuple[int, int]:
-    # (tail length, cycle length) of x, x^2, x^3, ...
-    seen = {x: 1}
-    y = x
-    k = 1
-    while True:
-        y = t.table[y][x]
-        k += 1
-        if y in seen:
-            return (seen[y], k - seen[y])
-        seen[y] = k
-
-
-@derived
-def _base_signature(t: CayleyTable) -> list:
-    g = green_relations(t)
-    lsz = Counter(g.lclass)
-    rsz = Counter(g.rclass)
-    hsz = Counter(g.hclass)
-    dsz = Counter(g.dclass)
-    return [
-        (
-            _order_profile(t, x),
-            g.idempotent[x],
-            lsz[g.lclass[x]],
-            rsz[g.rclass[x]],
-            hsz[g.hclass[x]],
-            dsz[g.dclass[x]],
-        )
-        for x in range(t.order)
-    ]
-
-
-def _canon_pair(rawa: list, rawb: list) -> tuple[list[int], list[int]]:
-    # one colour per distinct signature, shared by both tables; only the
-    # partition matters, so colours are numbered in order of first appearance
-    ranks: dict = {}
-    ca = [ranks.setdefault(v, len(ranks)) for v in rawa]
-    cb = [ranks.setdefault(v, len(ranks)) for v in rawb]
-    return ca, cb
-
-
-# tables up to this order keep their neighbourhoods as bytes: every element
-# index, and so every colour, fits in one byte
-BYTE_ORDER = 256
-# a byte that is 0 turns into one flag bit, any other byte into 0
-_ZERO_TO_FLAG = {bit: bytes([bit]) + bytes(255) for bit in (8, 4, 2, 1)}
-
-
-@derived
-def _neighbourhoods(t: CayleyTable) -> list:
-    """Per element x: the row x*y, the column y*x, and for each y four bits
-    telling whether x*y == x, x*y == y, y*x == x and y*x == y.
-
-    Up to ``BYTE_ORDER`` elements each of the three is a ``bytes``, and the
-    flags of all pairs come from four whole-table passes: a product equals
-    x or y exactly where XOR against the table of x's or of y's is 0.
-    """
-    tbl = t.table
-    if t.order > BYTE_ORDER:
-        out = []
-        for x, (row, col) in enumerate(zip(tbl, zip(*tbl))):
-            flags = [
-                8 * (xy == x) + 4 * (xy == y) + 2 * (yx == x) + (yx == y)
-                for y, (xy, yx) in enumerate(zip(row, col))
-            ]
-            out.append((row, col, flags))
-        return out
-    n = t.order
-    rows = [bytes(row) for row in tbl]
-    cols = [bytes(col) for col in zip(*tbl)]
-    prods = int.from_bytes(b"".join(rows), "big")
-    transposed = int.from_bytes(b"".join(cols), "big")
-    xs = int.from_bytes(b"".join(bytes([x]) * n for x in range(n)), "big")
-    ys = int.from_bytes(bytes(range(n)) * n, "big")
-
-    def flag(diff: int, bit: int) -> int:
-        return int.from_bytes(diff.to_bytes(n * n, "big").translate(_ZERO_TO_FLAG[bit]), "big")
-
-    flags = flag(prods ^ xs, 8) | flag(prods ^ ys, 4) | flag(transposed ^ xs, 2) | flag(transposed ^ ys, 1)
-    flags = flags.to_bytes(n * n, "big")
-    return [(row, col, flags[x * n : x * n + n]) for x, (row, col) in enumerate(zip(rows, cols))]
-
-
-def _refine_bytes(hoods: list, colors: list[int]) -> list:
-    # each neighbour y of x as four bytes (c_y, c_xy, c_yx, flags) read as
-    # one int; the sorted keys are x's neighbourhood multiset
-    lookup = bytes(colors).ljust(256, b"\0")
-    keys = bytearray(4 * len(colors))
-    keys[0::4] = bytes(colors)
-    out = []
-    for x, (row, col, flags) in enumerate(hoods):
-        keys[1::4] = row.translate(lookup)
-        keys[2::4] = col.translate(lookup)
-        keys[3::4] = flags
-        out.append((colors[x], tuple(sorted(memoryview(keys).cast("I")))))
-    return out
-
-
-def _refine_ints(hoods: list, colors: list[int]) -> list:
-    # each neighbour y of x as one int, ((c_y * m + c_xy) * m + c_yx) * 16 + flags,
-    # exact for colours below m; the sorted keys are x's neighbourhood multiset
-    m = max(colors) + 1
-    cy = [c * m * m * 16 for c in colors]
-    cxy = [c * m * 16 for c in colors]
-    cyx = [c * 16 for c in colors]
-    out = []
-    for x, (row, col, flags) in enumerate(hoods):
-        keys = map(add, map(add, cy, map(cxy.__getitem__, row)), map(add, map(cyx.__getitem__, col), flags))
-        out.append((colors[x], tuple(sorted(keys))))
-    return out
-
-
-def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]:
-    """Colour both tables together so equal colours mean 'possibly matched'.
-
-    Starting from Green-class sizes and power orders, each round splits a
-    colour by the multiset of (colour of y, colour of x*y, colour of y*x,
-    which of x*y and y*x equal x or y) over all y, until no colour splits.
-    Each such 4-tuple is encoded as one exact integer, four bytes up to
-    ``BYTE_ORDER`` elements and an integer over the number of colours in
-    play above, so a multiset is a sorted tuple of ints; both encodings are
-    injective, so the partitions and their numbering are those of the
-    tuples themselves.  Sound for pruning because every ingredient is
-    isomorphism-invariant.  Stops early once some colour covers different
-    numbers of elements in the two tables: refinement only splits colours,
-    so the tables cannot be isomorphic.
-    """
-    same = a.table == b.table
-    basea = _base_signature(a)
-    ca, cb = _canon_pair(basea, basea if same else _base_signature(b))
-    if sorted(ca) != sorted(cb):
-        return ca, cb
-    ha = _neighbourhoods(a)
-    hb = ha if same else _neighbourhoods(b)
-    refine = _refine_bytes if a.order <= BYTE_ORDER else _refine_ints
-    count = len(set(ca))
-    while True:
-        rawa = refine(ha, ca)
-        ca, cb = _canon_pair(rawa, rawa if same else refine(hb, cb))
-        if sorted(ca) != sorted(cb):
-            return ca, cb
-        new_count = len(set(ca))
-        if new_count == count:
-            return ca, cb
-        count = new_count
-
-
-# search nodes one call may expand before it raises instead of answering
-MAX_NODES = 2_000_000
-
-
-def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str = "elements") -> list[IsoMap]:
-    """Up to ``limit`` isomorphisms from ``a`` onto ``b``, by backtracking.
-
-    Candidates are pruned by joint colour refinement, which tells elements
-    apart by the colours of their products and by which products equal one
-    of their factors (an identity from an idempotent that only absorbs part
-    of the carrier, say).  Each assignment is propagated through the
-    product: every product of a newly assigned element with the trail of
-    elements already assigned is checked against the trail on the spot,
-    and only an unassigned product is assigned in turn, so the trail is
-    also the work queue.  Branching takes the first unassigned element of
-    a colour with the fewest unassigned elements, read from per-colour
-    counts.  A dead-end lookahead (forward checking, Haralick & Elliott
-    1980) cuts subtrees that hold no map: the last element w left with no
-    surviving candidate at a branch point is remembered, and a later node
-    where w is still unassigned is cut when no free v of ``b`` in the
-    colour of w has v*f(z) == f(w*z) and f(z)*v == f(z*w) for every
-    assigned z whose product with w is assigned.  That test is an AND of
-    preimage masks of ``b``, each row and column built on first read.
-    Branching and candidate order are untouched, so the maps and their
-    order are those of the search without it; only nodes are saved.
-    An exhausted search returning no map means the tables are not
-    isomorphic; running out of ``MAX_NODES`` raises instead, and so does a
-    result that fails verification.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    if a.order != b.order:
-        return []
-    n = a.order
-    ca, cb = _joint_colors(a, b)
-    if sorted(ca) != sorted(cb):
-        return []
-    ncolors = max(ca) + 1
-    members: list[list[int]] = [[] for _ in range(ncolors)]  # elements of a per colour
-    cand: list[list[int]] = [[] for _ in range(ncolors)]  # elements of b per colour
-    for i, c in enumerate(ca):
-        members[c].append(i)
-    for j, c in enumerate(cb):
-        cand[c].append(j)
-    left = [len(m) for m in members]  # unassigned elements per colour, equal on both sides
-    ta, tb = a.table, b.table
-    # columns as tuples: the byte columns of the colouring are slower to subscript
-    cola = list(zip(*ta))
-    colb = list(zip(*tb))
-    fwd = [-1] * n
-    back = [-1] * n
-    trail: list[int] = []  # assigned elements of a, in assignment order
-    results: list[tuple[int, ...]] = []
-    nodes = 0
-    # preimages in b, built on first read: col_pre[y][v] masks the w with
-    # w*y == v, row_pre[y][v] the w with y*w == v
-    col_pre: list = [None] * n
-    row_pre: list = [None] * n
-    witness = -1  # the last element found with no surviving candidate
-
-    def preimages(line) -> list[int]:
-        out = [0] * n
-        for w, v in enumerate(line):
-            out[v] |= 1 << w
-        return out
-
-    def dead_end(w: int) -> bool:
-        # m: the free v in the colour of w that agree with every assigned
-        # product of w with an assigned z
-        m = 0
-        for j in cand[ca[w]]:
-            if back[j] < 0:
-                m |= 1 << j
-        rw, cw = ta[w], cola[w]
-        for z in trail:
-            fz = fwd[z]
-            v = fwd[rw[z]]
-            if v >= 0:
-                pre = col_pre[fz]
-                if pre is None:
-                    pre = col_pre[fz] = preimages(colb[fz])
-                m &= pre[v]
-            v = fwd[cw[z]]
-            if v >= 0:
-                pre = row_pre[fz]
-                if pre is None:
-                    pre = row_pre[fz] = preimages(tb[fz])
-                m &= pre[v]
-            if not m:
-                return True
-        return False
-
-    def assign(i: int, j: int) -> bool:
-        fwd[i] = j
-        back[j] = i
-        left[ca[i]] -= 1
-        k = len(trail)
-        trail.append(i)
-        while k < len(trail):
-            x = trail[k]
-            y = fwd[x]
-            rx, ry, cx, cy = ta[x], tb[y], cola[x], colb[y]
-            # x and the elements processed before it, newest first (those
-            # queued after x meet x when they are processed); the row and the
-            # column product are checked in turn, spelled out for speed
-            for z in trail[k::-1]:
-                fz = fwd[z]
-                p = rx[z]
-                q = ry[fz]
-                fp = fwd[p]
-                if fp >= 0:
-                    if fp != q:
-                        return False
-                elif back[q] >= 0 or cb[q] != ca[p]:
-                    return False
-                else:
-                    fwd[p] = q
-                    back[q] = p
-                    left[ca[p]] -= 1
-                    trail.append(p)
-                p = cx[z]
-                q = cy[fz]
-                fp = fwd[p]
-                if fp >= 0:
-                    if fp != q:
-                        return False
-                elif back[q] >= 0 or cb[q] != ca[p]:
-                    return False
-                else:
-                    fwd[p] = q
-                    back[q] = p
-                    left[ca[p]] -= 1
-                    trail.append(p)
-            k += 1
-        return True
-
-    def dfs() -> None:
-        nonlocal nodes, witness
-        if len(trail) == n:
-            results.append(tuple(fwd))
-            return
-        if witness >= 0 and fwd[witness] < 0 and dead_end(witness):
-            return
-        fewest = min(c for c in left if c)
-        best_i = n
-        for c, count in enumerate(left):
-            if count == fewest:
-                for i in members[c]:
-                    if fwd[i] < 0:
-                        best_i = min(best_i, i)
-                        break
-        mark = len(trail)
-        survived = False
-        for j in [j for j in cand[ca[best_i]] if back[j] < 0]:
-            nodes += 1
-            if nodes > MAX_NODES:
-                raise SearchBudgetExceededError(nodes, n, kind)
-            if assign(best_i, j):
-                survived = True
-                dfs()
-            for x in trail[mark:]:
-                back[fwd[x]] = -1
-                fwd[x] = -1
-                left[ca[x]] += 1
-            del trail[mark:]
-            if len(results) >= limit:
-                return
-        if not survived:
-            witness = best_i
-
-    dfs()
-    out = []
-    for forward in results:
-        if not verify_morphism(a, b, forward):
-            raise SearchResultError(
-                f"{kind} isomorphism search returned {list(forward)}, which is not an isomorphism"
-            )
-        out.append(IsoMap(kind, forward, _invert(forward), verified=True))
-    return out
 
 
 # -- power tables and lifting ------------------------------------------------
@@ -465,9 +102,7 @@ class RhoPartition:
     strictly comparable component; non-maximal elements sit alone.
     """
 
-    component: int
     blocks: tuple[tuple[int, ...], ...]
-    maximal: tuple[bool, ...]
 
     def block_containing(self, element: int) -> tuple[int, ...] | None:
         for block in self.blocks:
@@ -500,7 +135,7 @@ def _sandwich_partitions(s: CayleyTable) -> dict[int, RhoPartition]:
                 blocks.append((a,))
         blocks.extend(tuple(v) for v in groups.values())
         blocks.sort(key=lambda blk: blk[0])
-        out[alpha] = RhoPartition(alpha, tuple(blocks), tuple(maximal[a] for a in elems))
+        out[alpha] = RhoPartition(tuple(blocks))
     return out
 
 
@@ -691,6 +326,11 @@ class _Check:
     def fail(self, witness: str) -> None:
         self.count(False, "{}", witness)
 
+    def refuse(self, witness: str) -> None:
+        """Fail with no instance counted: the premise could not be read."""
+        if self.ok:
+            self.ok, self.witness = False, witness
+
     def record(self) -> Record:
         return Record(self.name, "", self.instances, self.ok, self.witness)
 
@@ -726,7 +366,8 @@ def verify_statement_suite(
 
     ``theta`` is the component map that :func:`extract_theta` (through
     :func:`construct_eta`) gave for ``psi``, or the error it raised, whose
-    text becomes the witness of the statements that need the map.
+    text becomes the witness of the statements that need the map; they fail
+    with no instance counted.
 
     Returns one record per statement of :data:`PSI_STATEMENT_IDS`, in that
     order, with the number of premise-satisfying instances checked; a
@@ -743,12 +384,8 @@ def verify_statement_suite(
     _ideal_checks(checks, s, s2, image)
 
     if isinstance(theta, FalsificationError):
-        for name in (
-            "cs0-singleton-restriction",
-            "cross-sandwich-singleton",
-            "rho-image-transfer",
-        ):
-            checks[name].fail(f"component map unavailable: {theta}")
+        for name in ("cs0-singleton-restriction", "cross-sandwich-singleton", "rho-image-transfer"):
+            checks[name].refuse(f"component map unavailable: {theta}")
     else:
         _cs0_checks(checks, s, s2, image, theta)
         _cross_component_checks(checks, s, s2, image, preimage, theta)

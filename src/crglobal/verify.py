@@ -34,12 +34,10 @@ from .families import corpus
 from .globaldet import (
     MEMBER_STATEMENT_IDS,
     STATEMENT_IDS,
-    IsoMap,
     Record,
     _Check,
     construct_eta,
     extract_theta,
-    find_isomorphisms,
     is_singleton_preserving,
     lift,
     power_of,
@@ -48,6 +46,7 @@ from .globaldet import (
     verify_statement_suite,
 )
 from .power import h_class_of_idempotent_singleton, h_class_of_left_zero_set
+from .search import IsoMap, find_isomorphisms
 from .structure import decompose
 
 NON_CR_INJECTION = validate_table([[0, 0], [0, 0]])
@@ -194,7 +193,8 @@ def check_power_h_classes(checks, s: CayleyTable) -> None:
 def check_member_statements(members) -> list[Record]:
     """Every statement that reads one semigroup and never a subset map, once
     per member: the families, then :data:`MEMBER_STATEMENT_IDS`.  A member
-    that is not completely regular fails each of them, and none runs on it."""
+    that is not completely regular fails each of them with no instance
+    counted, and none runs on it."""
     records = []
     for name, s in members:
         if is_completely_regular(s):
@@ -204,7 +204,7 @@ def check_member_statements(members) -> list[Record]:
             found = [ck.record() for ck in checks.values()] + verify_member_statements(s)
         else:
             witness = "not completely regular"
-            found = [Record(check, "", 1, False, witness) for check in FAMILY_IDS + MEMBER_STATEMENT_IDS]
+            found = [Record(check, "", 0, False, witness) for check in FAMILY_IDS + MEMBER_STATEMENT_IDS]
         records += [replace(rec, scope=name) for rec in found]
     return records
 
@@ -297,9 +297,9 @@ def coverage_records(records: list[Record]) -> list[Record]:
         Record(
             "statement-coverage",
             name,
-            coverage.get(name, 0),
-            coverage.get(name, 0) > 0,
-            None if coverage.get(name, 0) else "statement never instantiated over the sweep",
+            coverage[name],
+            coverage[name] > 0,
+            None if coverage[name] else "statement never instantiated over the sweep",
         )
         for name in FAMILY_IDS + STATEMENT_IDS
     ]

@@ -9,7 +9,7 @@ from crglobal.verify import cr_members, global_sweep
 VERIFY_DIGESTS = {
     "full": "f993235825299aaabe090e0b294118634155136cca5e64b1b6209892afa8ff19",
     "quick": "8666ca0e143041529e7d8519797fbb2f580dabce80e0f661a2a39e644d08e180",
-    "injected-quick": "f02301c0733821a4ce528a6b32cdfff8e5a97c934223eca31364062561df894a",
+    "injected-quick": "54027b33175643b17bc41dc05e3b2b41916df93c6a5b7e4b03f057be26938bff",
 }
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import permutations, product
 
 from crglobal.core import CayleyTable
-from crglobal.globaldet import _base_signature, _canon_pair, _joint_colors
+from crglobal.search import _base_signature, _canon_pair, _joint_colors
 
 
 def _in_left_ideal(t, n: int, x: int, y: int) -> bool:

@@ -19,7 +19,8 @@ from crglobal.breakable import (
 )
 from crglobal.core import CayleyTable
 from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
-from crglobal.globaldet import IsoMap, extract_theta, lift, power_of, verify_member_statements, verify_statement_suite
+from crglobal.globaldet import extract_theta, lift, power_of, verify_member_statements, verify_statement_suite
+from crglobal.search import IsoMap
 from crglobal.structure import decompose
 
 

@@ -18,7 +18,7 @@ from crglobal.families import (
     rees_matrix,
     strong_semilattice,
 )
-from crglobal.globaldet import find_isomorphisms
+from crglobal.search import find_isomorphisms
 from crglobal.structure import decompose
 
 

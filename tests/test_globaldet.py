@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -18,10 +19,10 @@ from oracles import (
     oracle_refine_once,
 )
 
-from crglobal import families, globaldet, verify
+from crglobal import families, globaldet, search, verify
 from crglobal.breakable import enumerate_a2bar_masks
 from crglobal.cli import main, table_to_json
-from crglobal.core import CayleyTable, bits, is_left_zero, validate_table
+from crglobal.core import CayleyTable, bits, is_left_zero, natural_order, validate_table
 from crglobal.errors import (
     EtaNotMorphismError,
     OrderTooLargeError,
@@ -34,12 +35,10 @@ from crglobal.globaldet import (
     MEMBER_STATEMENT_IDS,
     PSI_STATEMENT_IDS,
     STATEMENT_IDS,
-    IsoMap,
     Record,
     _Check,
     construct_eta,
     extract_theta,
-    find_isomorphisms,
     is_singleton_preserving,
     lift,
     power_of,
@@ -47,9 +46,9 @@ from crglobal.globaldet import (
     psi_image_mask,
     rho_partition,
     verify_member_statements,
-    verify_morphism,
     verify_statement_suite,
 )
+from crglobal.search import IsoMap, find_isomorphisms, verify_morphism
 from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose
 from crglobal.verify import (
     FAMILY_IDS,
@@ -89,14 +88,14 @@ def test_find_isomorphisms_rejects_limit_below_one():
 
 
 def test_find_isomorphisms_budget(monkeypatch):
-    monkeypatch.setattr(globaldet, "MAX_NODES", 0)
+    monkeypatch.setattr(search, "MAX_NODES", 0)
     z3 = families.cyclic_group(3)
     with pytest.raises(SearchBudgetExceededError):
         find_isomorphisms(z3, z3)
 
 
 def test_find_isomorphisms_budget_message(monkeypatch):
-    monkeypatch.setattr(globaldet, "MAX_NODES", 2)
+    monkeypatch.setattr(search, "MAX_NODES", 2)
     p = power_table(families.left_zero(3))  # a left zero semigroup with 7! automorphisms
     with pytest.raises(SearchBudgetExceededError) as info:
         find_isomorphisms(p, p, kind="subsets")
@@ -105,7 +104,7 @@ def test_find_isomorphisms_budget_message(monkeypatch):
 
 
 def test_find_isomorphisms_raises_on_unverified_result(monkeypatch):
-    monkeypatch.setattr(globaldet, "verify_morphism", lambda a, b, forward: False)
+    monkeypatch.setattr(search, "verify_morphism", lambda a, b, forward: False)
     z3 = families.cyclic_group(3)
     with pytest.raises(SearchResultError):
         find_isomorphisms(z3, z3)
@@ -143,7 +142,7 @@ def rect_band_pair(named):
 
 
 def test_relabelled_rect_band_power_search_is_small(rect_band_pair, monkeypatch):
-    monkeypatch.setattr(globaldet, "MAX_NODES", 1000)
+    monkeypatch.setattr(search, "MAX_NODES", 1000)
     a, b = rect_band_pair
     maps = find_isomorphisms(power_table(a), power_table(b), kind="subsets")
     assert len(maps) == 8
@@ -161,7 +160,7 @@ def test_globaliso_relabelled_rect_band(rect_band_pair, tmp_path, capsys):
 @pytest.mark.parametrize("name", ["lz3-monoid", "rz3-monoid"])
 def test_monoid_power_self_pair_is_small(named, name, monkeypatch):
     # the identity {1} and {1,a} differ only in which products equal a factor
-    monkeypatch.setattr(globaldet, "MAX_NODES", 1000)
+    monkeypatch.setattr(search, "MAX_NODES", 1000)
     p = power_table(named[name])
     assert len(find_isomorphisms(p, p, kind="subsets")) == 6
 
@@ -181,7 +180,7 @@ def test_joint_colors_match_the_counter_reference(cr5):
             pairs += [(a, b), (power_table(a), power_table(b))]
     splits = 0
     for a, b in pairs:
-        ca, cb = globaldet._joint_colors(a, b)
+        ca, cb = search._joint_colors(a, b)
         assert (ca, cb) == oracle_joint_colors(a, b), (a.table, b.table)
         splits += sorted(ca) != sorted(cb)
     assert splits > 0
@@ -189,12 +188,12 @@ def test_joint_colors_match_the_counter_reference(cr5):
     # keys of neighbours with unequal products must differ
     rng = random.Random(0)
     for a, _ in pairs:
-        hoods = globaldet._neighbourhoods(a)
+        hoods = search._neighbourhoods(a)
         for m in (2, 3, 5):
             colors = [rng.randrange(m) for _ in range(a.order)]
-            new = globaldet._refine_bytes(hoods, colors)
+            new = search._refine_bytes(hoods, colors)
             want = oracle_refine_once(oracle_neighbourhoods(a), colors)
-            assert globaldet._canon_pair(new, new) == globaldet._canon_pair(want, want)
+            assert search._canon_pair(new, new) == search._canon_pair(want, want)
 
 
 def test_joint_colors_match_the_counter_reference_on_both_sides_of_the_byte_limit():
@@ -205,9 +204,9 @@ def test_joint_colors_match_the_counter_reference_on_both_sides_of_the_byte_limi
     random.Random(8).shuffle(perm)
     big = power_table(families.adjoin_identity(families.left_zero(8)))
     pairs = [(power_table(s), power_table(relabel(s, perm))), (big, big)]
-    assert [a.order for a, _ in pairs] == [255, 511] and globaldet.BYTE_ORDER == 256
+    assert [a.order for a, _ in pairs] == [255, 511] and search.BYTE_ORDER == 256
     for a, b in pairs:
-        ca, cb = globaldet._joint_colors(a, b)
+        ca, cb = search._joint_colors(a, b)
         assert len(set(ca)) > 1
         assert (ca, cb) == oracle_joint_colors(a, b), a.order
 
@@ -235,7 +234,7 @@ def test_refine_keys_tell_apart_nearby_neighbourhoods():
     for y, z in itertools.combinations(range(n), 2):
         groups.append([{y: (a, base[1][y], 0), z: (c, base[1][z], 0)} for a in range(n) for c in range(n)])
         groups.append([{y: (base[0][y], a, 0), z: (base[0][z], c, 0)} for a in range(n) for c in range(n)])
-    for refine, encode in ((globaldet._refine_bytes, bytes), (globaldet._refine_ints, list)):
+    for refine, encode in ((search._refine_bytes, bytes), (search._refine_ints, list)):
         for group in groups:
             for e1, e2 in itertools.combinations(group, 2):
                 h1, h2 = hood(e1, encode), hood(e2, encode)
@@ -272,13 +271,53 @@ PINNED_TREES = {
 def test_power_search_tree_is_pinned(named, monkeypatch, name, perm, nodes, digest):
     s = named[name]
     pa, pb = power_table(s), power_table(relabel(s, perm))
-    monkeypatch.setattr(globaldet, "MAX_NODES", nodes - 1)
+    monkeypatch.setattr(search, "MAX_NODES", nodes - 1)
     with pytest.raises(SearchBudgetExceededError) as info:
         find_isomorphisms(pa, pb, kind="subsets")
     assert info.value.nodes == nodes
-    monkeypatch.setattr(globaldet, "MAX_NODES", nodes)
+    monkeypatch.setattr(search, "MAX_NODES", nodes)
     maps = find_isomorphisms(pa, pb, kind="subsets")
     assert hashlib.sha256(repr([m.forward for m in maps]).encode()).hexdigest() == digest
+
+
+def search_snapshot(state):
+    return [list(state.fwd), list(state.back), list(state.left), list(state.trail)]
+
+
+def try_each_candidate(state, outcomes, depth):
+    """individualize(i, j) and then undo(mark) for every candidate j of the
+    branch point, checking that each leaves the state as it was; below a
+    surviving candidate, the same for the next ``depth - 1`` levels."""
+    i, candidates = state.branch()
+    mark = len(state.trail)
+    before = search_snapshot(state)
+    for j in candidates:
+        survived = state.individualize(i, j)
+        outcomes[survived] += 1
+        if survived and depth > 1 and len(state.trail) < state.n:
+            try_each_candidate(state, outcomes, depth - 1)
+        state.undo(mark)
+        assert search_snapshot(state) == before, (i, j, mark)
+
+
+def test_undo_restores_the_state_after_every_candidate(named, cr5):
+    # the map, its inverse, the per-colour counts and the trail return to
+    # their earlier values whether propagation succeeded or stopped at a
+    # contradiction halfway; every first-level candidate is tried, and every
+    # candidate below it down to the third level, where propagation also fails
+    pairs = [(power_table(named[name]), power_table(relabel(named[name], perm))) for name, perm, _, _ in PINNED_TREES.values()]
+    pairs += [(s, s) for _, s in cr5]
+    outcomes = Counter()
+    for a, b in pairs:
+        try_each_candidate(search.SearchState(a, b, *search._joint_colors(a, b)), outcomes, 3)
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_the_traced_search_is_the_search():
+    # the benchmark's tracer wraps the search as globaldet.find_isomorphisms
+    # and names each span by the bound ``kind`` and ``limit`` arguments
+    assert globaldet.find_isomorphisms is search.find_isomorphisms
+    assert {"limit", "kind"} <= set(inspect.signature(globaldet.find_isomorphisms).parameters)
 
 
 def test_power_search_is_complete_on_small_semigroups():
@@ -452,11 +491,17 @@ def test_sweep_files_a_refused_transfer(named, monkeypatch, error, theta_fails):
     assert result.etas == {}
 
 
+def maximal_in(dec, alpha):
+    """Which elements of component ``alpha`` are maximal in the natural order."""
+    maximal = natural_order(dec.base).maximal
+    return tuple(maximal[a] for a in dec.component_elements(alpha))
+
+
 def test_rho_partition_examples(named):
     dec = decompose(named["point-over-lz2"])
     rho = rho_partition(dec, 0)
     assert rho.blocks == ((0,), (1,))
-    assert rho.maximal == (False, True)
+    assert maximal_in(dec, 0) == (False, True)
     dec2 = decompose(named["lz2-over-zero"])
     assert rho_partition(dec2, 1).blocks == ((1, 2),)
     assert rho_partition(dec2, 0).blocks == ((0,),)
@@ -475,7 +520,7 @@ def test_rho_partition_lower_sandwich_splits_maximal_pair(named):
     # differently, so the sandwich condition separates them
     dec = decompose(named["lz2-tower"])
     rho = rho_partition(dec, 1)
-    assert rho.maximal == (True, True)
+    assert maximal_in(dec, 1) == (True, True)
     assert rho.blocks == ((2,), (3,))
 
 
@@ -488,7 +533,7 @@ def test_rho_partition_ignores_incomparable_components(named):
 def test_rho_partition_right_zero_sandwich_split(named):
     dec = decompose(named["rz2-tower"])
     top = rho_partition(dec, 1)
-    assert top.maximal == (True, True)
+    assert maximal_in(dec, 1) == (True, True)
     assert top.blocks == ((2,), (3,))
     assert rho_partition(dec, 0).blocks == ((0,), (1,))
 
@@ -653,7 +698,7 @@ def test_statement_suite_records_on_a_broken_map(named, name, perm, m1, m2, dige
     assert any((m1 | m2) & ~comp == 0 for comp in decompose(s).components)
     forward = list(lift(find_isomorphisms(s, t)[0]).forward)
     forward[m1 - 1], forward[m2 - 1] = forward[m2 - 1], forward[m1 - 1]
-    psi = IsoMap("subsets", tuple(forward), globaldet._invert(forward), verified=True)
+    psi = IsoMap("subsets", tuple(forward), search._invert(forward), verified=True)
     records = run_suite(s, t, psi)
     assert [r.check for r in records] == list(PSI_STATEMENT_IDS)
     assert any(not r.ok for r in records)
@@ -749,6 +794,25 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     assert {t for name, t in builds if name == "_sandwiches"} <= sides
     for s, s2, psi, records in suites:
         assert run_suite(fresh(s), fresh(s2), psi) == records
+
+
+def test_an_injected_member_adds_no_coverage():
+    # the injected member fails its 23 statements with no instance counted,
+    # so every coverage row equals the run without it
+    def coverage(records):
+        return [r for r in records if r.check == "statement-coverage"]
+
+    injected = run_all("quick", inject_non_cr=True)
+    bad = [r for r in injected if not r.ok]
+    assert len(bad) == 23 and all((r.scope, r.instances) == ("injected-non-cr", 0) for r in bad)
+    assert coverage(injected) == coverage(run_all("quick"))
+
+
+def test_a_refused_component_map_counts_no_instance(named):
+    s = named["lz2-over-zero"]
+    records = verify_statement_suite(s, s, psis_of(s, s)[0], ThetaNotSingletonError("refused"))
+    needs_map = [r for r in records if r.check in ("cs0-singleton-restriction", "cross-sandwich-singleton", "rho-image-transfer")]
+    assert [(r.instances, r.ok, r.witness) for r in needs_map] == [(0, False, "component map unavailable: refused")] * 3
 
 
 def test_member_statements_have_one_record_per_sweep_member():
@@ -903,7 +967,7 @@ def test_search_invariants_are_computed_once_per_table(cr4):
     # the colouring's base signature and neighbourhood rows are kept on each
     # table instance: the members and the power table of each member
     members = [(name, fresh(s)) for name, s in cr4]
-    watched = (globaldet._base_signature, globaldet._neighbourhoods)
+    watched = (search._base_signature, search._neighbourhoods)
     bodies = {getattr(fn, "__wrapped__", fn).__code__: fn.__name__ for fn in watched}
     runs = Counter()
 

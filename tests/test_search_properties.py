@@ -12,7 +12,8 @@ from oracles import oracle_find_isomorphisms  # noqa: E402
 from test_globaldet import relabel  # noqa: E402
 
 from crglobal import families  # noqa: E402
-from crglobal.globaldet import find_isomorphisms, power_table  # noqa: E402
+from crglobal.globaldet import power_table  # noqa: E402
+from crglobal.search import find_isomorphisms  # noqa: E402
 
 ORDERS: dict = {}
 for name, s in families.corpus():

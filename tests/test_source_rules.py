@@ -2,7 +2,9 @@
 on ``assert``, which ``python -O`` strips, and derived data is cached on the
 table by ``core.derived``, so the functools caches appear only on the two
 process-level values that are not per table, and no object fills a slot of
-its own on first use."""
+its own on first use.  No closure rebinds a name of its enclosing function
+with ``nonlocal``: state that steps share lives on an object, as the search
+state does on ``search.SearchState``."""
 
 import ast
 from pathlib import Path
@@ -58,6 +60,11 @@ def lazy_slots(tree: ast.Module) -> list[int]:
         and isinstance(node.comparators[0], ast.Constant)
         and node.comparators[0].value is None
     ]
+
+
+def nonlocal_uses(tree: ast.Module) -> list[int]:
+    """Lines of the ``nonlocal`` statements."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)]
 
 
 def test_sources_are_found():
@@ -117,3 +124,28 @@ def test_lazy_slots_sees_each_spelling():
         "            return x is None\n"
     )
     assert lazy_slots(tree) == [3]
+
+
+def test_no_nonlocal_in_the_library():
+    found = [
+        f"{path.name}:{line}" for path in SOURCES for line in nonlocal_uses(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_nonlocal_uses_sees_each_spelling():
+    # the rule's own control: every nonlocal statement is reported, at any
+    # depth, and a global statement or a mutation through a name is not
+    tree = ast.parse(
+        "def f():\n"
+        "    a = b = 0\n"
+        "    seen = []\n"
+        "    def g():\n"
+        "        nonlocal a, b\n"
+        "        def h():\n"
+        "            nonlocal a\n"
+        "        seen.append(a)\n"
+        "    def k():\n"
+        "        global c\n"
+    )
+    assert nonlocal_uses(tree) == [5, 7]

@@ -11,7 +11,8 @@ from oracles import oracle_automorphism_count  # noqa: E402
 from test_globaldet import relabel  # noqa: E402
 
 from crglobal import families  # noqa: E402
-from crglobal.globaldet import construct_eta, find_isomorphisms  # noqa: E402
+from crglobal.globaldet import construct_eta  # noqa: E402
+from crglobal.search import find_isomorphisms  # noqa: E402
 from crglobal.structure import decompose  # noqa: E402
 from crglobal.verify import collect_psis, cr_members  # noqa: E402
 
