@@ -18,6 +18,7 @@ from .errors import (
     BlockSizeMismatchError,
     EtaNotMorphismError,
     FalsificationError,
+    ParentMismatchError,
     PsiImageNotSingletonError,
     ThetaNotSingletonError,
     WrongComponentKindError,
@@ -25,11 +26,17 @@ from .errors import (
 from .power import positions, power_of, power_table
 # find_isomorphisms stays importable from here: the benchmark's tracer wraps it as globaldet.find_isomorphisms
 from .search import IsoMap, _invert, find_isomorphisms, verify_morphism  # noqa: F401
-from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, id_set_mask
+from .structure import CS0, Decomposition, decompose, id_set_mask
 
 
 def psi_image_mask(psi: IsoMap, mask: int) -> int:
     return psi.forward[mask - 1] + 1
+
+
+def _check_subset_map(psi: IsoMap, s: CayleyTable, s2: CayleyTable) -> None:
+    """Refuse a subset map that is not a map P(s) -> P(s2) between bases of one order."""
+    if s.order != s2.order or len(psi.forward) != (1 << s.order) - 1:
+        raise ParentMismatchError(f"a map of {len(psi.forward)} subsets between orders {s.order} and {s2.order}")
 
 
 # -- power tables and lifting ------------------------------------------------
@@ -62,6 +69,7 @@ def extract_theta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
     """
     if not psi.verified or psi.kind != "subsets":
         raise ThetaNotSingletonError("component extraction needs a verified subset isomorphism")
+    _check_subset_map(psi, dec_a.base, dec_b.base)
     ka, kb = dec_a.count, dec_b.count
     if ka != kb:
         raise ThetaNotSingletonError(f"component counts differ: {ka} vs {kb}")
@@ -117,13 +125,10 @@ def _sandwich_partitions(s: CayleyTable) -> dict[int, RhoPartition]:
     dec = decompose(s)
     maximal = natural_order(s).maximal
     t = s.table
-    k = dec.count
     out = {}
-    for alpha in range(k):
-        if dec.classification[alpha] not in (LEFT_ZERO, RIGHT_ZERO):
-            continue
-        lower = [b for beta in range(k) if dec.lt(beta, alpha) for b in dec.component_elements(beta)]
-        upper = [c for gamma in range(k) if dec.lt(alpha, gamma) for c in dec.component_elements(gamma)]
+    for alpha in dec.zero_components:
+        lower = [b for beta in sorted(dec.below[alpha]) for b in dec.component_elements(beta)]
+        upper = [c for gamma in sorted(dec.above[alpha]) for c in dec.component_elements(gamma)]
         elems = dec.component_elements(alpha)
         groups: dict = {}
         blocks: list[tuple[int, ...]] = []
@@ -140,9 +145,8 @@ def _sandwich_partitions(s: CayleyTable) -> dict[int, RhoPartition]:
 
 
 def rho_partition(dec: Decomposition, alpha: int) -> RhoPartition:
-    tag = dec.classification[alpha]
-    if tag not in (LEFT_ZERO, RIGHT_ZERO):
-        raise WrongComponentKindError(f"component {alpha} is {tag}, need a left or right zero component")
+    if alpha not in dec.zero_components:
+        raise WrongComponentKindError(f"component {alpha} is {dec.classification[alpha]}, need a left or right zero component")
     return _sandwich_partitions(dec.base)[alpha]
 
 
@@ -232,17 +236,11 @@ def _sandwiches(s: CayleyTable) -> dict[tuple[int, int], list[tuple[int, int]]]:
     prod = power_of(s).product_mask
     out = {}
     for alpha in range(dec.count):
-        for beta in range(dec.count):
-            if not dec.lt(beta, alpha):
-                continue
+        for beta in sorted(dec.below[alpha]):
             for a in dec.component_elements(alpha):
                 am = 1 << a
                 out[a, beta] = [(bm, prod(prod(am, bm), am)) for bm in _submasks(dec.components[beta])]
     return out
-
-
-def _zero_components(dec: Decomposition) -> list[int]:
-    return [c for c in range(dec.count) if dec.classification[c] in (LEFT_ZERO, RIGHT_ZERO)]
 
 
 # -- the statement suite -------------------------------------------------------
@@ -375,6 +373,7 @@ def verify_statement_suite(
     when the statement's hypothesis actually held, so a coverage pass over
     the records detects vacuous statements.
     """
+    _check_subset_map(psi, s, s2)
     checks = {name: _Check(name) for name in PSI_STATEMENT_IDS}
     # image[A] and preimage[A] are the masks of psi(A) and psi^-1(A); index 0 is unused
     image = [0, *map((1).__add__, psi.forward)]
@@ -431,15 +430,8 @@ def _a3_shape_checks(checks, s: CayleyTable, prod) -> None:
             ck_sup.count(id_set_mask(bm, dec) == ids_a, "{:#x} squares to {:#x} with different support", bm, am)
             if prod(bm, am) == am:
                 ck_mul.count(bm == am, "{:#x} multiplies and squares onto {:#x}", bm, am)
-        # the subsets supported inside the support of A, ascending
-        support = 0
-        for alpha in ids_a:
-            support |= dec.components[alpha]
-        bm = 0
-        while True:
-            bm = (bm - support) & support
-            if not bm:
-                break
+        # the subsets supported inside the support of A (components are disjoint masks)
+        for bm in _submasks(sum(dec.components[alpha] for alpha in ids_a)):
             if prod(bm, am) == am and prod(am, bm) == am:
                 ck_abs.count(bm | am == am, "{:#x} absorbed by {:#x} but not contained", bm, am)
 
@@ -465,8 +457,8 @@ def _rigidity_checks(checks, s: CayleyTable) -> None:
                 p = t[a][b]
                 allowed = {a, b, g.local_identity[a], g.local_identity[b]}
                 checks["rigid-pair-products"].count(p in allowed, "{}*{}={} in {:#x}", a, b, p, am)
-        ids = sorted(id_set_mask(am, dec))
-        chain = all(dec.leq(x, y) or dec.leq(y, x) for x in ids for y in ids)
+        support = id_set_mask(am, dec)
+        chain = all(support - dec.below[x] - dec.above[x] == {x} for x in support)
         checks["rigid-support-chain"].count(chain, "support of {:#x} is not a chain", am)
         for a in elems:
             if t[a][a] != a:
@@ -475,8 +467,8 @@ def _rigidity_checks(checks, s: CayleyTable) -> None:
                 checks["rigid-nonidempotent-hclass"].count(
                     in_h == want, "H-slice of {} in {:#x} is {}", a, am, sorted(in_h)
                 )
-        maxima = [x for x in ids if not any(dec.lt(x, y) for y in ids)]
-        for alpha in ids:
+        maxima = [x for x in support if not dec.above[x] & support]
+        for alpha in sorted(support):
             slice_elems = [x for x in elems if dec.component_of[x] == alpha]
             one_l = len({g.lclass[x] for x in slice_elems}) == 1
             one_r = len({g.rclass[x] for x in slice_elems}) == 1
@@ -489,9 +481,7 @@ def _rigidity_checks(checks, s: CayleyTable) -> None:
                 checks["rigid-lower-slice-zero"].count(
                     lz or rz, "non-maximal slice {} of {:#x} is not a zero semigroup", alpha, am
                 )
-                for beta in ids:
-                    if not dec.lt(alpha, beta):
-                        continue
+                for beta in sorted(dec.above[alpha] & support):
                     uppers = [x for x in elems if dec.component_of[x] == beta]
                     for a in slice_elems:
                         for b in uppers:
@@ -580,16 +570,14 @@ def _ep_order_checks(checks, s: CayleyTable, prod) -> None:
                     bm | am == am, "{:#x} supported inside {:#x} but not contained", bm, am
                 )
             for omega in sorted(shared):
-                max_in_a = not any(dec.lt(omega, y) for y in ids_a)
-                max_in_b = not any(dec.lt(omega, y) for y in ids_b)
-                if max_in_a and max_in_b:
+                if not dec.above[omega] & (ids_a | ids_b):
                     checks["ep-leq-top-slice"].count(
                         bm & dec.components[omega] == am & dec.components[omega],
                         "top slices at {} differ for {:#x} <= {:#x}", omega, am, bm,
                     )
         if len(ids_a) >= 2:
             for alpha in sorted(ids_a):
-                if not any(dec.lt(alpha, y) for y in ids_a):
+                if not dec.above[alpha] & ids_a:
                     continue
                 for a in bits(am & dec.components[alpha]):
                     reduced = am & ~(1 << a)
@@ -636,8 +624,7 @@ def _pair_chain_checks(checks, s: CayleyTable, image: list[int]) -> None:
     a2 = enumerate_a2_masks(s)
     for a in range(s.order):
         for b in range(s.order):
-            ca, cb = dec.component_of[a], dec.component_of[b]
-            if not dec.lt(ca, cb):
+            if dec.component_of[b] not in dec.above[dec.component_of[a]]:
                 continue
             pair = (1 << a) | (1 << b)
             if pair not in a2:
@@ -651,7 +638,7 @@ def _nonmaximal_checks(checks, s: CayleyTable, image: list[int]) -> None:
     ck = checks["nonmaximal-singleton-image"]
     dec = decompose(s)
     maximal = natural_order(s).maximal
-    for alpha in _zero_components(dec):
+    for alpha in dec.zero_components:
         for a in dec.component_elements(alpha):
             if maximal[a]:
                 continue
@@ -669,9 +656,7 @@ def _cross_component_checks(
     prod, prod2 = power_of(s).product_mask, power_of(s2).product_mask
     sandwiches = _sandwiches(s)
     for alpha in range(dec.count):
-        for beta in range(dec.count):
-            if not dec.lt(beta, alpha):
-                continue
+        for beta in sorted(dec.below[alpha]):
             for a in dec.component_elements(alpha):
                 img = image[1 << a]
                 pairs = sandwiches[a, beta]
@@ -693,7 +678,7 @@ def _cross_component_checks(
                     ck_single.count(
                         sandwich.bit_count() == 1, "{} against the image of {} gives {:#x}", s_el, b, sandwich
                     )
-    for alpha in _zero_components(dec):
+    for alpha in dec.zero_components:
         rho_a = rho_partition(dec, alpha)
         rho_b = rho_partition(dec2, theta.forward[alpha])
         comp_mask = dec.components[alpha]
@@ -715,10 +700,9 @@ def _rho_checks(checks, s: CayleyTable, prod) -> None:
     sandwiches = _sandwiches(s)
     ck_col = checks["rho-sandwich-collapse"]
     ck_tr = checks["rho-lower-translation"]
-    for alpha in _zero_components(dec):
+    for alpha in dec.zero_components:
         rho = rho_partition(dec, alpha)
-        below = [b for b in range(dec.count) if dec.lt(b, alpha)]
-        above = [g for g in range(dec.count) if dec.lt(alpha, g)]
+        below, above = sorted(dec.below[alpha]), sorted(dec.above[alpha])
         for block in rho.blocks:
             block_mask = mask_of(block)
             for a in block:

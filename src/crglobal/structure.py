@@ -2,8 +2,10 @@
 
 The D-classes of a completely regular semigroup are completely simple, and
 the quotient by D is a semilattice; the decomposition records both, plus a
-kind tag per component (left zero / right zero / neither).  Components and
-supports are int masks over the carrier.
+kind tag per component (left zero / right zero / neither), and reads the
+order of the semilattice once: the components strictly below and strictly
+above each component, and the zero components.  Components and supports are
+int masks over the carrier.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ class Decomposition:
     component_of: tuple[int, ...]
     components: tuple[int, ...]
     classification: tuple[str, ...]
+    below: tuple[frozenset[int], ...]
+    above: tuple[frozenset[int], ...]
+    zero_components: tuple[int, ...]
 
     @property
     def count(self) -> int:
@@ -32,13 +37,6 @@ class Decomposition:
 
     def component_elements(self, alpha: int) -> tuple[int, ...]:
         return tuple(bits(self.components[alpha]))
-
-    def leq(self, alpha: int, beta: int) -> bool:
-        """alpha <= beta in the structure semilattice."""
-        return self.semilattice.table[alpha][beta] == alpha
-
-    def lt(self, alpha: int, beta: int) -> bool:
-        return alpha != beta and self.leq(alpha, beta)
 
 
 @derived
@@ -81,7 +79,11 @@ def decompose(s: CayleyTable) -> Decomposition:
             tags.append(CS0)
         else:
             raise DecompositionError(f"component {cid} is not completely simple")
-    return Decomposition(s, semilattice, tuple(component_of), tuple(comps), tuple(tags))
+    # beta <= alpha in the semilattice exactly when alpha*beta = beta
+    below = tuple(frozenset(b for b in range(k) if y_rows[a][b] == b != a) for a in range(k))
+    above = tuple(frozenset(b for b in range(k) if y_rows[a][b] == a != b) for a in range(k))
+    zeros = tuple(c for c, tag in enumerate(tags) if tag != CS0)
+    return Decomposition(s, semilattice, tuple(component_of), tuple(comps), tuple(tags), below, above, zeros)
 
 
 def _check_semilattice(y: CayleyTable) -> None:

@@ -26,6 +26,7 @@ from crglobal.core import CayleyTable, bits, is_left_zero, natural_order, valida
 from crglobal.errors import (
     EtaNotMorphismError,
     OrderTooLargeError,
+    ParentMismatchError,
     SearchBudgetExceededError,
     SearchResultError,
     ThetaNotSingletonError,
@@ -466,6 +467,28 @@ def test_extract_theta_refuses_non_homomorphic_component_map(named):
         extract_theta(fake, dec, dec)
 
 
+@pytest.mark.parametrize("psi_order, order", [(2, 3), (3, 2)])
+def test_the_transfer_refuses_a_subset_map_of_another_carrier(psi_order, order):
+    # a subset map of P(left_zero(psi_order)) passed with the tables of
+    # left_zero(order): too short it once raised IndexError, too long it was
+    # accepted and passed every record; both are refused, as is a pair of
+    # tables of different orders
+    source = families.left_zero(psi_order)
+    psi = lift(find_isomorphisms(source, source)[0])
+    s = families.left_zero(order)
+    dec = decompose(s)
+    theta = construct_eta(lift(find_isomorphisms(s, s)[0]), dec, dec).theta
+    for call in (extract_theta, construct_eta):
+        with pytest.raises(ParentMismatchError):
+            call(psi, dec, dec)
+        with pytest.raises(ParentMismatchError):
+            call(psi, decompose(source), dec)
+    with pytest.raises(ParentMismatchError):
+        verify_statement_suite(s, s, psi, theta)
+    with pytest.raises(ParentMismatchError):
+        verify_statement_suite(source, s, psi, theta)
+
+
 def test_construct_eta_refuses_lifted_non_automorphism(named):
     s = named["cyclic-3"]
     dec = decompose(s)
@@ -897,6 +920,29 @@ def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monke
     assert lines[0] == f"FAIL rho-sandwich-collapse: {rec.witness}"
     assert lines[1].startswith("psi 0: ")
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_a_dropped_semilattice_relation_fails_a_member_statement(cr6):
+    # negative control for the decomposition layer: drop one comparable pair
+    # alpha < beta from the derived decomposition of a fresh table, and the
+    # member statements of that table must fail at least one record
+    caught = Counter()
+    faults = missed = 0
+    for name, s in cr6:
+        for alpha, aboves in enumerate(decompose(s).above):
+            for beta in sorted(aboves):
+                t = fresh(s)
+                dec = decompose(t)
+                below = list(dec.below)
+                above = list(dec.above)
+                below[beta] -= {alpha}
+                above[alpha] -= {beta}
+                t._derived[decompose.__wrapped__] = replace(dec, below=tuple(below), above=tuple(above))
+                failed = {r.check for r in check_member_statements([(name, t)]) if not r.ok}
+                faults += 1
+                missed += not failed
+                caught.update(failed)
+    assert faults >= 27 and missed == 0, f"{faults - missed}/{faults} caught; per record: {dict(caught)}"
 
 
 def test_a_planted_chunk_kind_fails_only_its_structural_form(named, cr4, capsys, monkeypatch):

@@ -5,9 +5,9 @@ import pytest
 from oracles import oracle_idset_product
 
 from crglobal import families
-from crglobal.core import is_left_zero, is_right_zero, is_completely_simple, restrict, validate_table
+from crglobal.core import is_completely_regular, is_left_zero, is_right_zero, is_completely_simple, restrict, validate_table
 from crglobal.errors import EmptySubsetError, NotCompletelyRegularError, ParentMismatchError
-from crglobal.structure import CS0, LEFT_ZERO, decompose, id_set_mask
+from crglobal.structure import CS0, LEFT_ZERO, RIGHT_ZERO, decompose, id_set_mask
 from crglobal.globaldet import power_of
 
 
@@ -39,6 +39,23 @@ def test_decompose_rejects_non_regular():
 def test_singleton_components_tagged_left_zero():
     dec = decompose(families.chain_semilattice(3))
     assert dec.classification == (LEFT_ZERO,) * 3
+
+
+def test_order_and_zero_components_match_the_semilattice_table(cr6):
+    # below, above and zero_components against a direct reading of the
+    # semilattice table and the kind tags, on every CR member of order <= 6
+    # and every CR semigroup of order <= 3
+    small = [(f"small-{s.order}-{i}", s) for n in (1, 2, 3) for i, s in enumerate(families.enumerate_small(n))]
+    members = cr6 + [(name, s) for name, s in small if is_completely_regular(s)]
+    assert len(members) == len(cr6) + 1 + 4 + 13
+    for name, s in members:
+        dec = decompose(s)
+        y = dec.semilattice.table
+        k = dec.count
+        assert dec.below == tuple(frozenset(b for b in range(k) if b != a and y[b][a] == b) for a in range(k)), name
+        assert dec.above == tuple(frozenset(b for b in range(k) if b != a and y[a][b] == a) for a in range(k)), name
+        zeros = [c for c in range(k) if dec.classification[c] in (LEFT_ZERO, RIGHT_ZERO)]
+        assert dec.zero_components == tuple(zeros), name
 
 
 def test_id_set_examples(named):
