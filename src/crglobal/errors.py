@@ -101,9 +101,9 @@ class FalsificationError(SemigroupError):
 
 
 class ThetaNotSingletonError(FalsificationError):
-    """Component image under the subset map does not land in a single
-    component; the map is not a power-semigroup isomorphism between
-    completely regular semigroups."""
+    """The subset map is not a power-semigroup isomorphism between completely
+    regular semigroups: it is no bijection, it breaks a power-table product, or
+    the component map read off it fails a check."""
 
 
 class PsiImageNotSingletonError(FalsificationError):

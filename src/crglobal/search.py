@@ -15,22 +15,14 @@ from .errors import SearchBudgetExceededError, SearchResultError
 
 @dataclass(frozen=True)
 class IsoMap:
-    """A verified bijection between two carriers of the same kind.
+    """A bijection between two carriers of the same kind, given by its images
+    and checked, where a reader needs it, with :func:`verify_morphism`.
 
     kind is "elements", "subsets" (indexed by mask - 1) or "components".
     """
 
     kind: str
     forward: tuple[int, ...]
-    inverse: tuple[int, ...]
-    verified: bool = False
-
-
-def _invert(forward) -> tuple[int, ...]:
-    inv = [0] * len(forward)
-    for i, v in enumerate(forward):
-        inv[v] = i
-    return tuple(inv)
 
 
 def verify_morphism(a: CayleyTable, b: CayleyTable, forward) -> bool:
@@ -380,5 +372,5 @@ def find_isomorphisms(a: CayleyTable, b: CayleyTable, limit: int = 8, kind: str 
             raise SearchResultError(
                 f"{kind} isomorphism search returned {list(forward)}, which is not an isomorphism"
             )
-        out.append(IsoMap(kind, forward, _invert(forward), verified=True))
+        out.append(IsoMap(kind, forward))
     return out

@@ -63,7 +63,7 @@ def test_each_enumeration_is_cached_once_per_table(named):
     s = named["clifford-3"]
     fresh = CayleyTable(s.order, s.table, s.labels)
     identity = tuple(range(s.order))
-    psi = lift(IsoMap("elements", identity, identity, verified=True))
+    psi = lift(IsoMap("elements", identity))
     theta = extract_theta(psi, decompose(fresh), decompose(fresh))
     cached = (
         enumerate_a3_masks,

@@ -27,6 +27,7 @@ from crglobal.errors import (
     EtaNotMorphismError,
     OrderTooLargeError,
     ParentMismatchError,
+    PsiImageNotSingletonError,
     SearchBudgetExceededError,
     SearchResultError,
     ThetaNotSingletonError,
@@ -356,7 +357,6 @@ def test_power_search_finds_relabelled_copies(cr6):
 
 def test_find_isomorphisms_verifies():
     for m in find_isomorphisms(families.klein_four(), families.klein_four(), limit=30):
-        assert m.verified
         assert verify_morphism(families.klein_four(), families.klein_four(), m.forward)
 
 
@@ -413,16 +413,14 @@ def test_extract_theta_identity(named):
     psis = psis_of(c3, c3)
     theta = extract_theta(psis[0], dec, dec)
     assert theta.forward == (0, 1)
-    assert theta.verified
+    assert verify_morphism(dec.semilattice, dec.semilattice, theta.forward)
 
 
 def test_extract_theta_on_left_zero_automorphism():
     l2 = families.left_zero(2)
     dec = decompose(l2)
     # {a} -> {a,b}, {b} -> {a}, {a,b} -> {b}: ignores singletons entirely
-    forward = (2, 0, 1)
-    inverse = tuple(forward.index(i) for i in range(3))
-    psi = IsoMap("subsets", forward, inverse, verified=True)
+    psi = IsoMap("subsets", (2, 0, 1))
     assert verify_morphism(power_table(l2), power_table(l2), psi.forward)
     theta = extract_theta(psi, dec, dec)
     assert theta.forward == (0,)
@@ -442,27 +440,45 @@ def test_extract_theta_relabeled_clifford(named):
     assert sorted(theta.forward) == [0, 1]
 
 
-def test_extract_theta_flags_fake_psi(named):
+# the refusal of a subset map that is a bijection but no power isomorphism
+BROKEN_PRODUCT = "subset map breaks the product"
+
+
+def skip_premise(monkeypatch):
+    """Let the transfer take a subset map without checking that it is a
+    power isomorphism, to reach the refusals behind that check."""
+    monkeypatch.setattr(globaldet, "_check_power_isomorphism", lambda psi, s, s2: None)
+
+
+def test_extract_theta_flags_fake_psi(named, monkeypatch):
     c3 = named["clifford-3"]
     dec = decompose(c3)
     size = 7
-    # transpose singletons {z} and {e} across components: not an isomorphism,
-    # but carries the verified flag; the extraction must refuse it
+    with pytest.raises(ThetaNotSingletonError, match="subset map is not a bijection"):
+        extract_theta(IsoMap("subsets", (0,) * size), dec, dec)
+    # transpose singletons {z} and {e} across components: not an isomorphism;
+    # behind the premise check, the component map check refuses it too
     forward = list(range(size))
     forward[0], forward[1] = forward[1], forward[0]
-    fake = IsoMap("subsets", tuple(forward), tuple(forward), verified=True)
-    with pytest.raises(ThetaNotSingletonError):
+    fake = IsoMap("subsets", tuple(forward))
+    with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT):
+        extract_theta(fake, dec, dec)
+    skip_premise(monkeypatch)
+    with pytest.raises(ThetaNotSingletonError, match="component map is not a semilattice isomorphism"):
         extract_theta(fake, dec, dec)
 
 
-def test_extract_theta_refuses_non_homomorphic_component_map(named):
+def test_extract_theta_refuses_non_homomorphic_component_map(named, monkeypatch):
     # swapping the singletons {0} and {1} keeps every component inside one
     # component, but the induced map on the semilattice is no homomorphism
     s = named["vee-semilattice"]
     dec = decompose(s)
     forward = list(range((1 << s.order) - 1))
     forward[0], forward[1] = forward[1], forward[0]
-    fake = IsoMap("subsets", tuple(forward), tuple(forward), verified=True)
+    fake = IsoMap("subsets", tuple(forward))
+    with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT):
+        extract_theta(fake, dec, dec)
+    skip_premise(monkeypatch)
     with pytest.raises(ThetaNotSingletonError, match="component map is not"):
         extract_theta(fake, dec, dec)
 
@@ -489,12 +505,30 @@ def test_the_transfer_refuses_a_subset_map_of_another_carrier(psi_order, order):
         verify_statement_suite(source, s, psi, theta)
 
 
-def test_construct_eta_refuses_lifted_non_automorphism(named):
+def test_statement_suite_refuses_a_component_map_of_another_table(named):
+    # the one-component map of rect_band(2, 2) passed with a two-component
+    # member once raised a bare IndexError inside the suite
+    rb = families.rect_band(2, 2)
+    theta = extract_theta(lift(find_isomorphisms(rb, rb)[0]), decompose(rb), decompose(rb))
+    for name in ("clifford-3", "lz2-tower"):
+        s = named[name]
+        psi = lift(find_isomorphisms(s, s)[0])
+        with pytest.raises(ParentMismatchError, match=r"component map \[0\]"):
+            verify_statement_suite(s, s, psi, theta)
+        # the right length, but not a permutation of the components
+        with pytest.raises(ParentMismatchError, match=r"component map \[0, 0\]"):
+            verify_statement_suite(s, s, psi, IsoMap("components", (0, 0)))
+
+
+def test_construct_eta_refuses_lifted_non_automorphism(named, monkeypatch):
     s = named["cyclic-3"]
     dec = decompose(s)
-    swap = IsoMap("elements", (1, 0, 2), (1, 0, 2), verified=True)
+    psi = lift(IsoMap("elements", (1, 0, 2)))
+    with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT):
+        construct_eta(psi, dec, dec)
+    skip_premise(monkeypatch)
     with pytest.raises(EtaNotMorphismError):
-        construct_eta(lift(swap), dec, dec)
+        construct_eta(psi, dec, dec)
 
 
 @pytest.mark.parametrize("error, theta_fails", [(ThetaNotSingletonError, True), (EtaNotMorphismError, False)])
@@ -572,7 +606,7 @@ def test_adjoined_identity_members_force_singleton_images(named):
     for psi in psis:
         assert is_singleton_preserving(psi, s.order)
         eta = construct_eta(psi, dec, dec).eta
-        assert eta.verified
+        assert verify_morphism(s, s, eta.forward)
 
 
 def test_rho_blocks_commute_with_automorphisms(cr5):
@@ -603,7 +637,7 @@ def test_construct_eta_left_zero_all_automorphisms():
     assert len(nonsingleton) == 4
     for psi in psis:
         eta = construct_eta(psi, dec, dec).eta
-        assert eta.verified and sorted(eta.forward) == [0, 1]
+        assert verify_morphism(l2, l2, eta.forward) and sorted(eta.forward) == [0, 1]
 
 
 def test_construct_eta_equals_phi_on_single_cs0_component():
@@ -632,15 +666,16 @@ def test_construct_eta_deterministic(named):
         assert first == second
 
 
-def test_construct_eta_rejects_fake_psi(named):
-    from crglobal.errors import FalsificationError
-
+def test_construct_eta_rejects_fake_psi(named, monkeypatch):
     c3 = named["clifford-3"]
     dec = decompose(c3)
     forward = list(range(7))
     forward[2 - 1], forward[6 - 1] = forward[6 - 1], forward[2 - 1]  # swap {e} with {e,a}
-    fake = IsoMap("subsets", tuple(forward), tuple(forward), verified=True)
-    with pytest.raises(FalsificationError):
+    fake = IsoMap("subsets", tuple(forward))
+    with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT + " 0x2"):
+        construct_eta(fake, dec, dec)
+    skip_premise(monkeypatch)
+    with pytest.raises(PsiImageNotSingletonError, match="element 1 of a non-zero component"):
         construct_eta(fake, dec, dec)
 
 
@@ -719,15 +754,45 @@ def test_statement_suite_records_on_a_broken_map(named, name, perm, m1, m2, dige
     s = named[name]
     t = relabel(s, perm)
     assert any((m1 | m2) & ~comp == 0 for comp in decompose(s).components)
-    forward = list(lift(find_isomorphisms(s, t)[0]).forward)
+    lifted = lift(find_isomorphisms(s, t)[0])
+    forward = list(lifted.forward)
     forward[m1 - 1], forward[m2 - 1] = forward[m2 - 1], forward[m1 - 1]
-    psi = IsoMap("subsets", tuple(forward), search._invert(forward), verified=True)
-    records = run_suite(s, t, psi)
+    psi = IsoMap("subsets", tuple(forward))
+    # the transfer refuses the broken map, so the suite reads the unbroken map's component map
+    with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT):
+        extract_theta(psi, decompose(s), decompose(t))
+    records = verify_statement_suite(s, t, psi, extract_theta(lifted, decompose(s), decompose(t)))
     assert [r.check for r in records] == list(PSI_STATEMENT_IDS)
     assert any(not r.ok for r in records)
     assert all(r.ok == (r.witness is None) for r in records)
     rows = [(r.check, r.instances, r.ok, r.witness) for r in records]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, rows
+
+
+def test_the_transfer_refuses_every_transposed_non_isomorphism():
+    # each subset isomorphism of a CR member of order 2 to 5 with two masks
+    # transposed, 5 per map: the transfer refuses the mutant exactly when
+    # the power tables say it is no automorphism of P(S)
+    rng = random.Random(0)
+    refused = transferred = 0
+    for name, s in cr_members(list(families.corpus()), 5):
+        if s.order < 2:
+            continue
+        dec, p = decompose(s), power_table(s)
+        for psi in psis_of(s, s):
+            for _ in range(5):
+                forward = list(psi.forward)
+                i, j = rng.sample(range(len(forward)), 2)
+                forward[i], forward[j] = forward[j], forward[i]
+                mutant = IsoMap("subsets", tuple(forward))
+                if verify_morphism(p, p, mutant.forward):
+                    assert verify_morphism(s, s, construct_eta(mutant, dec, dec).eta.forward), name
+                    transferred += 1
+                else:
+                    with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT):
+                        construct_eta(mutant, dec, dec)
+                    refused += 1
+    assert (refused, transferred) == (648, 277)
 
 
 def test_no_power_iso_between_distinct_globals():

@@ -4,10 +4,14 @@ table by ``core.derived``, so the functools caches appear only on the two
 process-level values that are not per table, and no object fills a slot of
 its own on first use.  No closure rebinds a name of its enclosing function
 with ``nonlocal``: state that steps share lives on an object, as the search
-state does on ``search.SearchState``."""
+state does on ``search.SearchState``.  An ``IsoMap`` is its forward map, with
+no trust flag that a reader could believe in place of checking the map."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from crglobal.search import IsoMap
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "crglobal").glob("*.py"))
 CACHES = {"cached_property", "lru_cache", "cache"}
@@ -149,3 +153,14 @@ def test_nonlocal_uses_sees_each_spelling():
         "        global c\n"
     )
     assert nonlocal_uses(tree) == [5, 7]
+
+
+def test_an_isomap_is_its_forward_map():
+    assert [field.name for field in dataclasses.fields(IsoMap)] == ["kind", "forward"]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "verified"
+    ]
+    assert found == []

@@ -12,7 +12,7 @@ from test_globaldet import relabel  # noqa: E402
 
 from crglobal import families  # noqa: E402
 from crglobal.globaldet import construct_eta  # noqa: E402
-from crglobal.search import find_isomorphisms  # noqa: E402
+from crglobal.search import find_isomorphisms, verify_morphism  # noqa: E402
 from crglobal.structure import decompose  # noqa: E402
 from crglobal.verify import collect_psis, cr_members  # noqa: E402
 
@@ -35,4 +35,4 @@ def test_transfer_on_relabelled_copies(case):
     assert len(find_isomorphisms(s, t, limit=10**6)) == oracle_automorphism_count(s), name
     dec_s, dec_t = decompose(s), decompose(t)
     for psi in collect_psis(s, t)[1]:
-        assert construct_eta(psi, dec_s, dec_t).eta.verified, name
+        assert verify_morphism(s, t, construct_eta(psi, dec_s, dec_t).eta.forward), name
