@@ -26,21 +26,19 @@ from .breakable import (
 )
 from .families import canonical_form, corpus, enumerate_small
 from .globaldet import (
-    Record,
-    RhoPartition,
-    STATEMENT_IDS,
     Transfer,
     construct_eta,
     extract_theta,
     lift,
-    power_of,
-    power_table,
-    rho_partition,
+)
+from .power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set, power_of, power_table
+from .search import IsoMap, find_isomorphisms, verify_morphism
+from .statements import (
+    STATEMENTS,
+    Record,
     verify_member_statements,
     verify_statement_suite,
 )
-from .power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set
-from .search import IsoMap, find_isomorphisms, verify_morphism
-from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, id_set_mask
+from .structure import CS0, LEFT_ZERO, RIGHT_ZERO, Decomposition, RhoPartition, decompose, id_set_mask, rho_partition
 
 __version__ = "0.1.0"

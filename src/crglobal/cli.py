@@ -25,8 +25,9 @@ from .breakable import (
 from .core import CayleyTable, bits, green_relations, idempotents, is_completely_regular, is_completely_simple, natural_order, validate_table
 from .errors import FalsificationError, SemigroupError
 from .families import corpus
-from .globaldet import construct_eta, power_of, verify_member_statements, verify_statement_suite
-from .power import check_green_order
+from .globaldet import construct_eta
+from .power import check_green_order, power_of
+from .statements import verify_member_statements, verify_statement_suite
 from .structure import decompose
 from .verify import collect_psis, records_to_json_lines, run_all, summarize
 

@@ -46,6 +46,14 @@ def bits(mask: int):
         mask ^= low
 
 
+def submasks(mask: int):
+    """Yield the nonempty submasks of ``mask``, descending."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
 def derived(fn):
     """Compute ``fn(s)`` once per table instance and keep it in ``s._derived``,
     freed with the table; an equal table built separately computes its own.

@@ -4,16 +4,17 @@ The D-classes of a completely regular semigroup are completely simple, and
 the quotient by D is a semilattice; the decomposition records both, plus a
 kind tag per component (left zero / right zero / neither), and reads the
 order of the semilattice once: the components strictly below and strictly
-above each component, and the zero components.  Components and supports are
-int masks over the carrier.
+above each component, and the zero components.  Each zero component is
+partitioned by sandwich behaviour.  Components and supports are int masks
+over the carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable, bits, check_subset_mask, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, mask_of, restrict
-from .errors import DecompositionError, NotCompletelyRegularError
+from .core import CayleyTable, bits, check_subset_mask, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, mask_of, natural_order, restrict
+from .errors import DecompositionError, NotCompletelyRegularError, WrongComponentKindError
 
 LEFT_ZERO = "left-zero"
 RIGHT_ZERO = "right-zero"
@@ -99,3 +100,52 @@ def _check_semilattice(y: CayleyTable) -> None:
 def id_set_mask(mask: int, dec: Decomposition) -> frozenset[int]:
     """Components meeting the subset: its support in the semilattice."""
     return frozenset({dec.component_of[e] for e in bits(check_subset_mask(dec.base, mask))})
+
+
+@dataclass(frozen=True)
+class RhoPartition:
+    """Partition of one left/right zero component by sandwich behaviour.
+
+    Two elements fall in one block when both are maximal for the natural
+    order and conjugating by them agrees against every element of every
+    strictly comparable component; non-maximal elements sit alone.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]
+
+    def block_containing(self, element: int) -> tuple[int, ...] | None:
+        for block in self.blocks:
+            if element in block:
+                return block
+        return None
+
+
+@derived
+def _sandwich_partitions(s: CayleyTable) -> dict[int, RhoPartition]:
+    """The sandwich partition of each left or right zero component of ``s``."""
+    dec = decompose(s)
+    maximal = natural_order(s).maximal
+    t = s.table
+    out = {}
+    for alpha in dec.zero_components:
+        lower = [b for beta in sorted(dec.below[alpha]) for b in dec.component_elements(beta)]
+        upper = [c for gamma in sorted(dec.above[alpha]) for c in dec.component_elements(gamma)]
+        elems = dec.component_elements(alpha)
+        groups: dict = {}
+        blocks: list[tuple[int, ...]] = []
+        for a in elems:
+            if maximal[a]:
+                key = (tuple(t[t[a][b]][a] for b in lower), tuple(t[t[c][a]][c] for c in upper))
+                groups.setdefault(key, []).append(a)
+            else:
+                blocks.append((a,))
+        blocks.extend(tuple(v) for v in groups.values())
+        blocks.sort(key=lambda blk: blk[0])
+        out[alpha] = RhoPartition(tuple(blocks))
+    return out
+
+
+def rho_partition(dec: Decomposition, alpha: int) -> RhoPartition:
+    if alpha not in dec.zero_components:
+        raise WrongComponentKindError(f"component {alpha} is {dec.classification[alpha]}, need a left or right zero component")
+    return _sandwich_partitions(dec.base)[alpha]

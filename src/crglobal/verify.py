@@ -9,44 +9,31 @@ map discovery order and record order are all fixed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-from .breakable import (
-    a2_characterization,
-    a3_characterization,
-    enumerate_a2_masks,
-    enumerate_a3_masks,
-    is_a3_mask,
-    left_zero_subset_masks,
-    structural_form,
-)
 from .core import (
     CayleyTable,
-    bits,
-    green_relations,
     is_completely_regular,
     is_left_zero,
     validate_table,
 )
 from .errors import FalsificationError, ThetaNotSingletonError
 from .families import corpus
-from .globaldet import (
-    MEMBER_STATEMENT_IDS,
-    STATEMENT_IDS,
+from .globaldet import construct_eta, extract_theta, is_singleton_preserving, lift
+from .power import power_table
+from .search import IsoMap, find_isomorphisms
+# the check_* families are not called here; they stay importable for the benchmark's tracer, which wraps them as verify.check_*
+from .statements import (  # noqa: F401
+    STATEMENTS,
     Record,
-    _Check,
-    construct_eta,
-    extract_theta,
-    is_singleton_preserving,
-    lift,
-    power_of,
-    power_table,
-    verify_member_statements,
+    check_a2_equivalence,
+    check_a3_equivalence,
+    check_member_statements,
+    check_power_h_classes,
+    check_structural_forms,
     verify_statement_suite,
 )
-from .power import h_class_of_idempotent_singleton, h_class_of_left_zero_set
-from .search import IsoMap, find_isomorphisms
 from .structure import decompose
 
 NON_CR_INJECTION = validate_table([[0, 0], [0, 0]])
@@ -76,137 +63,6 @@ def summarize(records: list[Record]) -> str:
 
 def cr_members(members, max_order: int) -> list[tuple[str, CayleyTable]]:
     return [(name, s) for name, s in members if s.order <= max_order and is_completely_regular(s)]
-
-
-# the characterization families, checked per member beside the statements
-FAMILY_IDS = (
-    "a3-characterization-equivalence",
-    "a2-characterization-equivalence",
-    "structural-form",
-    "power-h-classes",
-)
-
-
-def check_a3_equivalence(checks, s: CayleyTable) -> None:
-    """Rigidity scan agrees with the triple-product condition on every
-    idempotent subset."""
-    ck = checks["a3-characterization-equivalence"]
-    p = power_of(s)
-    a3 = enumerate_a3_masks(s)
-    for am in p.idempotent_masks():
-        direct = is_a3_mask(s, am)
-        if direct != a3_characterization(p, am):
-            ck.fail(f"subset {am:#x} is {'in' if direct else 'outside'} the class but the scan disagrees")
-        else:
-            ck.count(direct == (am in a3), "subset {:#x}: enumeration disagrees with the direct check", am)
-
-
-def check_a2_equivalence(checks, s: CayleyTable) -> None:
-    """Idempotency scan agrees with the pair-product condition below the
-    triple-product class."""
-    ck = checks["a2-characterization-equivalence"]
-    p = power_of(s)
-    a2 = enumerate_a2_masks(s)
-    for am in enumerate_a3_masks(s):
-        direct = am in a2
-        ck.count(
-            direct == a2_characterization(p, am),
-            "subset {:#x} is {} the class but the scan disagrees",
-            am,
-            "in" if direct else "outside",
-        )
-
-
-def check_structural_forms(checks, s: CayleyTable) -> None:
-    """Every qualifying subsemigroup decomposes into an absorbing chain of
-    zero chunks, with a group top exactly when pair products escape."""
-    ck = checks["structural-form"]
-    a2 = enumerate_a2_masks(s)
-    for am in enumerate_a3_masks(s):
-        problem = _form_problem(s.table, am, structural_form(s, am), am in a2)
-        ck.count(problem is None, "subset {:#x}: {}", am, problem)
-
-
-def _form_problem(t, am: int, form, breakable: bool) -> str | None:
-    union = 0
-    for chunk in form.chunks:
-        if union & chunk:
-            return "chunks overlap"
-        union |= chunk
-    if union != am:
-        return "chunks do not cover the subset"
-    if form.has_group_top == breakable:
-        return "group top disagrees with the pair-product condition"
-    for kind in form.kinds[:-1]:
-        if kind == "two-group-top":
-            return "group chunk off the top"
-    for i, low in enumerate(form.chunks):
-        for high in form.chunks[i + 1 :]:
-            for a in bits(low):
-                for b in bits(high):
-                    if t[a][b] != a or t[b][a] != a:
-                        return f"absorption fails at ({a},{b})"
-    for chunk, kind in zip(form.chunks, form.kinds):
-        elems = list(bits(chunk))
-        if kind == "left-zero":
-            if any(t[a][b] != a for a in elems for b in elems):
-                return "left zero chunk is not left zero"
-        elif kind == "right-zero":
-            if any(t[a][b] != b for a in elems for b in elems):
-                return "right zero chunk is not right zero"
-        else:
-            if len(elems) != 2:
-                return "group top of the wrong size"
-            ids = [a for a in elems if t[a][a] == a]
-            if len(ids) != 1:
-                return "group top without a unique identity"
-            e = ids[0]
-            a = elems[1 - elems.index(e)]
-            if t[a][a] != e or t[a][e] != a or t[e][a] != a:
-                return "group top is not a two-element group"
-    return None
-
-
-def check_power_h_classes(checks, s: CayleyTable) -> None:
-    """H-classes in the power semigroup match their element-level values for
-    idempotent singletons and for left zero subsemigroups."""
-    ck = checks["power-h-classes"]
-    p = power_of(s)
-    g = green_relations(s)
-    for e in range(s.order):
-        if s.table[e][e] == e:
-            got = set(h_class_of_idempotent_singleton(p, e))
-            want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
-            ck.count(got == want, "singleton {{{}}}: got {}, expected {}", e, sorted(got), sorted(want))
-    for em in left_zero_subset_masks(s):
-        got = set(h_class_of_left_zero_set(p, em))
-        translates = [
-            {p.product_mask(em, 1 << a) for a in range(s.order) if g.hclass[a] == g.hclass[e]} for e in bits(em)
-        ]
-        expected = translates[0]
-        if any(t != expected for t in translates):
-            ck.fail(f"left zero {em:#x}: translate sets differ between members")
-        else:
-            ck.count(got == expected, "left zero {:#x}: got {}, expected {}", em, sorted(got), sorted(expected))
-
-
-def check_member_statements(members) -> list[Record]:
-    """Every statement that reads one semigroup and never a subset map, once
-    per member: the families, then :data:`MEMBER_STATEMENT_IDS`.  A member
-    that is not completely regular fails each of them with no instance
-    counted, and none runs on it."""
-    records = []
-    for name, s in members:
-        if is_completely_regular(s):
-            checks = {check: _Check(check) for check in FAMILY_IDS}
-            for group in (check_a3_equivalence, check_a2_equivalence, check_structural_forms, check_power_h_classes):
-                group(checks, s)
-            found = [ck.record() for ck in checks.values()] + verify_member_statements(s)
-        else:
-            witness = "not completely regular"
-            found = [Record(check, "", 0, False, witness) for check in FAMILY_IDS + MEMBER_STATEMENT_IDS]
-        records += [replace(rec, scope=name) for rec in found]
-    return records
 
 
 @dataclass
@@ -301,7 +157,7 @@ def coverage_records(records: list[Record]) -> list[Record]:
             coverage[name] > 0,
             None if coverage[name] else "statement never instantiated over the sweep",
         )
-        for name in FAMILY_IDS + STATEMENT_IDS
+        for name, _ in STATEMENTS
     ]
 
 

@@ -20,7 +20,8 @@ import pytest
 from crglobal import families
 from crglobal.breakable import enumerate_a3_masks
 from crglobal.cli import main
-from crglobal.globaldet import STATEMENT_IDS, power_of
+from crglobal.power import power_of
+from crglobal.statements import STATEMENTS
 from crglobal.verify import check_member_statements, coverage_records
 
 
@@ -105,14 +106,15 @@ def test_criterion_6_runtime(cr5):
 
 
 def test_criterion_7_statement_suite(cr5, sweep):
-    suite_records = check_member_statements(cr5) + [r for r in sweep.records if r.check in STATEMENT_IDS]
+    statements = [name for name, side in STATEMENTS if side != "family"]
+    suite_records = check_member_statements(cr5) + [r for r in sweep.records if r.check in statements]
     bad = [r for r in suite_records if not r.ok]
     cov = coverage_records(suite_records)
     uncovered = [r for r in cov if not r.ok]
     ok = not bad and not uncovered
     print(
         f"ACCEPT criterion-7 statement suite: {'PASS' if ok else 'FAIL'} "
-        f"({len(suite_records)} records, {len(STATEMENT_IDS)} statements all instantiated)"
+        f"({len(suite_records)} records, {len(statements)} statements all instantiated)"
     )
     assert not bad, bad[:5]
     assert not uncovered, uncovered

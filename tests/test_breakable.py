@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from oracles import oracle_chunks, oracle_dual
 
-from crglobal import families, globaldet
+from crglobal import families, statements
 from crglobal.breakable import (
     a2_characterization,
     a2_counterexample,
@@ -19,8 +19,10 @@ from crglobal.breakable import (
 )
 from crglobal.core import CayleyTable
 from crglobal.errors import NotA3Error, NotIdempotentError, NotSubsemigroupError, OrderTooLargeError, ParentMismatchError
-from crglobal.globaldet import extract_theta, lift, power_of, verify_member_statements, verify_statement_suite
+from crglobal.globaldet import extract_theta, lift
+from crglobal.power import power_of
 from crglobal.search import IsoMap
+from crglobal.statements import verify_member_statements, verify_statement_suite
 from crglobal.structure import decompose
 
 
@@ -69,8 +71,8 @@ def test_each_enumeration_is_cached_once_per_table(named):
         enumerate_a3_masks,
         enumerate_a2_masks,
         enumerate_a2bar_masks,
-        globaldet._support_groups,
-        globaldet._sandwiches,
+        statements._support_groups,
+        statements._sandwiches,
     )
     bodies = {fn.__wrapped__.__code__: fn.__name__ for fn in cached}
     runs = Counter()

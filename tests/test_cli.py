@@ -8,7 +8,8 @@ import pytest
 
 from crglobal import breakable, cli, families, verify
 from crglobal.cli import build_parser, main, parse_table_text, table_to_json
-from crglobal.globaldet import Record, extract_theta
+from crglobal.globaldet import extract_theta
+from crglobal.statements import Record
 from crglobal.verify import records_to_json_lines
 
 

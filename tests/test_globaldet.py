@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import importlib
+import importlib.util
 import inspect
 import itertools
 import json
@@ -8,6 +10,7 @@ import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from oracles import (
@@ -19,7 +22,7 @@ from oracles import (
     oracle_refine_once,
 )
 
-from crglobal import families, globaldet, search, verify
+from crglobal import families, globaldet, search, statements, structure, verify
 from crglobal.breakable import enumerate_a2bar_masks
 from crglobal.cli import main, table_to_json
 from crglobal.core import CayleyTable, bits, is_left_zero, natural_order, validate_table
@@ -34,26 +37,23 @@ from crglobal.errors import (
     WrongComponentKindError,
 )
 from crglobal.globaldet import (
-    MEMBER_STATEMENT_IDS,
-    PSI_STATEMENT_IDS,
-    STATEMENT_IDS,
-    Record,
-    _Check,
     construct_eta,
     extract_theta,
     is_singleton_preserving,
     lift,
-    power_of,
     power_table,
     psi_image_mask,
-    rho_partition,
+)
+from crglobal.search import IsoMap, find_isomorphisms, verify_morphism
+from crglobal.statements import (
+    STATEMENTS,
+    Record,
+    _Check,
     verify_member_statements,
     verify_statement_suite,
 )
-from crglobal.search import IsoMap, find_isomorphisms, verify_morphism
-from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose
+from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose, rho_partition
 from crglobal.verify import (
-    FAMILY_IDS,
     check_a3_equivalence,
     check_member_statements,
     collect_psis,
@@ -61,6 +61,11 @@ from crglobal.verify import (
     global_sweep,
     run_all,
 )
+
+
+def statement_ids(*sides):
+    """The statements of ``sides``, in the order of ``STATEMENTS``."""
+    return [name for name, side in STATEMENTS if side in sides]
 
 
 def psis_of(s, s2, limit=8):
@@ -127,7 +132,7 @@ def test_derived_data_is_freed_with_its_table(named):
     fresh = relabel(named["z2-over-lz2"], [3, 1, 0, 2])
     power_table(fresh)
     verify_member_statements(fresh)
-    globaldet._support_groups(fresh)
+    statements._support_groups(fresh)
     decompose(fresh)
     enumerate_a2bar_masks(fresh)
     ref = weakref.ref(fresh)
@@ -320,6 +325,17 @@ def test_the_traced_search_is_the_search():
     # and names each span by the bound ``kind`` and ``limit`` arguments
     assert globaldet.find_isomorphisms is search.find_isomorphisms
     assert {"limit", "kind"} <= set(inspect.signature(globaldet.find_isomorphisms).parameters)
+    # every traced name resolves on crglobal.<module>, and is the global its
+    # defining module calls, which the tracer replaces by identity
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, name in spans.FUNCTIONS:
+        fn = getattr(importlib.import_module(f"crglobal.{mod}"), name)
+        assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, (mod, name)
+    for mod, cls, name in spans.METHODS:
+        assert callable(getattr(getattr(importlib.import_module(f"crglobal.{mod}"), cls), name)), (mod, cls, name)
 
 
 def test_power_search_is_complete_on_small_semigroups():
@@ -503,6 +519,22 @@ def test_the_transfer_refuses_a_subset_map_of_another_carrier(psi_order, order):
         verify_statement_suite(s, s, psi, theta)
     with pytest.raises(ParentMismatchError):
         verify_statement_suite(source, s, psi, theta)
+
+
+@pytest.mark.parametrize("forward", [(9,) * 7, (-1,) * 7, (7, *range(1, 7))], ids=["above", "negative", "one-above"])
+def test_the_transfer_refuses_a_subset_map_with_an_entry_out_of_range(named, forward):
+    # a map of the right length with an entry outside 0..2^n - 2: the suite
+    # once raised a bare IndexError on an entry above and read a negative
+    # entry as the empty mask
+    s = named["clifford-3"]
+    dec = decompose(s)
+    theta = extract_theta(lift(find_isomorphisms(s, s)[0]), dec, dec)
+    psi = IsoMap("subsets", forward)
+    for call in (extract_theta, construct_eta):
+        with pytest.raises(ParentMismatchError, match="entries"):
+            call(psi, dec, dec)
+    with pytest.raises(ParentMismatchError, match="entries"):
+        verify_statement_suite(s, s, psi, theta)
 
 
 def test_statement_suite_refuses_a_component_map_of_another_table(named):
@@ -716,11 +748,11 @@ def test_statement_suite_all_pass_and_counts(named):
     for na, nb in pairs:
         s, s2 = named[na], named[nb]
         records = verify_member_statements(s)
-        assert [r.check for r in records] == list(MEMBER_STATEMENT_IDS)
+        assert [r.check for r in records] == statement_ids("member")
         assert all(r.ok for r in records), [r for r in records if not r.ok]
         for psi in psis_of(s, s2, limit=4):
             records = run_suite(s, s2, psi)
-            assert [r.check for r in records] == list(PSI_STATEMENT_IDS)
+            assert [r.check for r in records] == statement_ids("psi")
             assert all(r.ok for r in records), [r for r in records if not r.ok]
 
 
@@ -762,7 +794,7 @@ def test_statement_suite_records_on_a_broken_map(named, name, perm, m1, m2, dige
     with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT):
         extract_theta(psi, decompose(s), decompose(t))
     records = verify_statement_suite(s, t, psi, extract_theta(lifted, decompose(s), decompose(t)))
-    assert [r.check for r in records] == list(PSI_STATEMENT_IDS)
+    assert [r.check for r in records] == statement_ids("psi")
     assert any(not r.ok for r in records)
     assert all(r.ok == (r.witness is None) for r in records)
     rows = [(r.check, r.instances, r.ok, r.witness) for r in records]
@@ -833,7 +865,7 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     # never inside the suite that runs once per map
     shape_runs = []
     in_suite = []
-    shape_checks = globaldet._a3_shape_checks
+    shape_checks = statements._a3_shape_checks
 
     def counting_shape_checks(checks, s, prod):
         shape_runs.append((s, bool(in_suite)))
@@ -850,7 +882,7 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
         suites.append((s, s2, psi, records))
         return records
 
-    monkeypatch.setattr(globaldet, "_a3_shape_checks", counting_shape_checks)
+    monkeypatch.setattr(statements, "_a3_shape_checks", counting_shape_checks)
     monkeypatch.setattr(verify, "verify_statement_suite", recording_suite)
     run_all("quick")
     members = [s for _, s in cr_members(families.corpus("quick"), 4)]
@@ -861,7 +893,7 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     # the per-table data of the checks that run once per map is built once
     # per table, and the suite gives the same records on fresh tables
     members = [(name, fresh(s)) for name, s in cr4]
-    watched = {getattr(globaldet, name).__wrapped__.__code__: name for name in ("_support_groups", "_sandwiches")}
+    watched = {getattr(statements, name).__wrapped__.__code__: name for name in ("_support_groups", "_sandwiches")}
     builds = Counter()
 
     def profile(frame, event, arg):
@@ -882,6 +914,21 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     assert {t for name, t in builds if name == "_sandwiches"} <= sides
     for s, s2, psi, records in suites:
         assert run_suite(fresh(s), fresh(s2), psi) == records
+
+
+def test_statements_is_the_order_of_every_runner_and_of_coverage(named):
+    # one row per statement, and each runner returns its side's rows in table order
+    ids = [name for name, _ in STATEMENTS]
+    assert len(ids) == len(set(ids)) == 34
+    assert {side for _, side in STATEMENTS} == {"family", "member", "psi"}
+    s = named["lz2-over-zero"]
+    assert [r.check for r in check_member_statements([("lz2-over-zero", s)])] == statement_ids("family", "member")
+    non_cr = [("injected-non-cr", verify.NON_CR_INJECTION)]
+    assert [r.check for r in check_member_statements(non_cr)] == statement_ids("family", "member")
+    assert [r.check for r in verify_member_statements(s)] == statement_ids("member")
+    assert [r.check for r in run_suite(s, s, psis_of(s, s)[0])] == statement_ids("psi")
+    coverage = [r.scope for r in run_all("quick") if r.check == "statement-coverage"]
+    assert coverage == ids
 
 
 def test_an_injected_member_adds_no_coverage():
@@ -907,11 +954,11 @@ def test_member_statements_have_one_record_per_sweep_member():
     records = run_all("quick")
     members = [name for name, _ in cr_members(families.corpus("quick"), 4)]
     coverage = {r.scope: r.instances for r in records if r.check == "statement-coverage"}
-    for check in FAMILY_IDS + MEMBER_STATEMENT_IDS:
+    for check in statement_ids("family", "member"):
         mine = [r for r in records if r.check == check]
         assert [r.scope for r in mine] == members, check
         assert coverage[check] == sum(r.instances for r in mine), check
-    for check in PSI_STATEMENT_IDS:
+    for check in statement_ids("psi"):
         assert coverage[check] == sum(r.instances for r in records if r.check == check and "#psi" in r.scope)
 
 
@@ -919,7 +966,7 @@ def test_verify_reports_statements_and_sweep_records_only():
     # one claim mechanism: every per-member or per-map record is a statement
     # with a coverage record, and the rest are the six sweep-level checks
     records = run_all("quick")
-    statements = set(FAMILY_IDS + STATEMENT_IDS)
+    statements = {name for name, _ in STATEMENTS}
     sweep_level = {
         "power-nonisomorphic",
         "theta-extraction",
@@ -935,7 +982,7 @@ def test_verify_reports_statements_and_sweep_records_only():
 def test_a_non_regular_table_fails_the_triple_scan_off_hypothesis():
     # the triple-product scan is sharp: on the null semigroup of order 2, off
     # the completely regular hypothesis, it disagrees with the direct check
-    checks = {check: _Check(check) for check in FAMILY_IDS}
+    checks = {check: _Check(check) for check in statement_ids("family")}
     check_a3_equivalence(checks, verify.NON_CR_INJECTION)
     rec = checks["a3-characterization-equivalence"].record()
     assert (rec.instances, rec.ok, rec.witness) == (1, False, "subset 0x1 is in the class but the scan disagrees")
@@ -947,7 +994,7 @@ def plant_sandwich_fault(monkeypatch, target):
     ``rho-sandwich-collapse`` reads.  The wrong value goes into the
     ``_sandwiches`` slot of each such table as the table first reads it,
     and the slot is restored after the test."""
-    build = globaldet._sandwiches
+    build = statements._sandwiches
     slot = build.__wrapped__
     planted = []
 
@@ -962,7 +1009,7 @@ def plant_sandwich_fault(monkeypatch, target):
             planted.append(out)
         return out
 
-    monkeypatch.setattr(globaldet, "_sandwiches", sandwiches)
+    monkeypatch.setattr(statements, "_sandwiches", sandwiches)
 
 
 def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monkeypatch):
@@ -975,7 +1022,7 @@ def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monke
     assert (rec.check, rec.scope, rec.ok) == ("rho-sandwich-collapse", name, False) and rec.witness
     assert main(["verify", "--profile", "quick"]) == 3
     failed = [r for r in map(json.loads, capsys.readouterr().out.splitlines()) if not r["ok"]]
-    assert [(r["check"], r["scope"]) for r in failed if r["check"] in MEMBER_STATEMENT_IDS] == [
+    assert [(r["check"], r["scope"]) for r in failed if r["check"] in statement_ids("member")] == [
         ("rho-sandwich-collapse", name)
     ]
     path = tmp_path / f"{name}.json"
@@ -1017,7 +1064,7 @@ def test_a_planted_chunk_kind_fails_only_its_structural_form(named, cr4, capsys,
     monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
     name, mask = "left-zero-3", 0b011
     target = named[name]
-    real = verify.structural_form
+    real = statements.structural_form
 
     def structural_form(s, am):
         form = real(s, am)
@@ -1025,7 +1072,7 @@ def test_a_planted_chunk_kind_fails_only_its_structural_form(named, cr4, capsys,
             return replace(form, kinds=("right-zero",) * len(form.kinds))
         return form
 
-    monkeypatch.setattr(verify, "structural_form", structural_form)
+    monkeypatch.setattr(statements, "structural_form", structural_form)
     failed = [(r.check, r.scope, r.witness) for r in check_member_statements(cr4) if not r.ok]
     assert failed == [("structural-form", name, "subset 0x3: right zero chunk is not right zero")]
     assert main(["verify", "--profile", "quick"]) == 3
@@ -1037,7 +1084,7 @@ def test_transfer_work_is_done_once_per_table_and_map(cr5):
     # each sandwich partition is built once per table instance, and the
     # component map is extracted once per map, by construct_eta
     members = [(name, fresh(s)) for name, s in cr5]
-    watched = {globaldet.RhoPartition.__init__.__code__: "partitions", extract_theta.__code__: "thetas"}
+    watched = {structure.RhoPartition.__init__.__code__: "partitions", extract_theta.__code__: "thetas"}
     runs = Counter()
 
     def profile(frame, event, arg):

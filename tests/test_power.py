@@ -15,9 +15,8 @@ from crglobal.errors import (
     OrderTooLargeError,
     ParentMismatchError,
 )
-from crglobal.globaldet import power_of
 from crglobal.verify import cr_members
-from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set, power_table
+from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set, power_of, power_table
 
 
 def test_product_examples():

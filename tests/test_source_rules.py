@@ -9,7 +9,11 @@ no trust flag that a reader could believe in place of checking the map."""
 
 import ast
 import dataclasses
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from crglobal.search import IsoMap
 
@@ -164,3 +168,25 @@ def test_an_isomap_is_its_forward_map():
         if isinstance(node, ast.Attribute) and node.attr == "verified"
     ]
     assert found == []
+
+
+
+# ``import crglobal.<m>`` would run the package's __init__ first and import
+# every module in its order; registering the package without running it
+# makes <m> the first module imported, so an import cycle that only some
+# orders show fails here
+IMPORT_ALONE = """
+import sys, types
+package = types.ModuleType("crglobal")
+package.__path__ = [sys.argv[1]]
+sys.modules["crglobal"] = package
+__import__("crglobal." + sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("module", [p.stem for p in SOURCES if p.stem != "__init__"])
+def test_each_module_imports_alone(module):
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_ALONE, str(SOURCES[0].parent), module], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

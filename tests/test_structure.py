@@ -8,7 +8,7 @@ from crglobal import families
 from crglobal.core import is_completely_regular, is_left_zero, is_right_zero, is_completely_simple, restrict, validate_table
 from crglobal.errors import EmptySubsetError, NotCompletelyRegularError, ParentMismatchError
 from crglobal.structure import CS0, LEFT_ZERO, RIGHT_ZERO, decompose, id_set_mask
-from crglobal.globaldet import power_of
+from crglobal.power import power_of
 
 
 def test_decompose_clifford(named):
