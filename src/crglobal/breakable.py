@@ -9,8 +9,6 @@ masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CayleyTable, bits, derived, green_relations, is_subsemigroup_mask
 from .errors import NotA3Error, NotIdempotentError, NotSubsemigroupError
 from .power import Power, positions, power_of
@@ -19,7 +17,6 @@ from .structure import decompose, id_set_mask
 TWO_GROUP_TOP = "two-group-top"
 
 
-@dataclass(frozen=True)
 class BreakableForm:
     """Chain decomposition of a qualifying subsemigroup, bottom chunk first.
 
@@ -27,8 +24,9 @@ class BreakableForm:
     right zero set except possibly the last, which may be a two-element group.
     """
 
-    chunks: tuple[int, ...]
-    kinds: tuple[str, ...]
+    def __init__(self, chunks: tuple[int, ...], kinds: tuple[str, ...]):
+        self.chunks = chunks
+        self.kinds = kinds
 
     @property
     def has_group_top(self) -> bool:

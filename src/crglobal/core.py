@@ -8,9 +8,8 @@ kept on the table instance, see :func:`derived`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import wraps
-from typing import Iterable, Sequence
 
 from .errors import (
     EmptySubsetError,
@@ -23,13 +22,23 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class CayleyTable:
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
-    # filled by @derived functions; freed with the table, not shared by equal tables
-    _derived: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    """A product table on 0..order-1, equal and hashed by (order, table, labels)."""
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], labels: tuple[str, ...] | None = None):
+        self.order = order
+        self.table = table
+        self.labels = labels
+        # filled by @derived functions; freed with the table, not shared by equal tables
+        self._derived = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CayleyTable):
+            return NotImplemented
+        return (self.order, self.table, self.labels) == (other.order, other.table, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.table, self.labels))
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
@@ -96,24 +105,30 @@ def check_subset_mask(s: CayleyTable, mask: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
 class GreenData:
-    lclass: tuple[int, ...]
-    rclass: tuple[int, ...]
-    hclass: tuple[int, ...]
-    dclass: tuple[int, ...]
-    idempotent: tuple[bool, ...]
-    local_identity: tuple[int | None, ...]
+    """Per element: its L-, R-, H- and D-class ids, whether it is idempotent,
+    and the identity of its H-class where that is a group, else None."""
+
+    def __init__(self, lclass: tuple[int, ...], rclass: tuple[int, ...], hclass: tuple[int, ...], dclass: tuple[int, ...],
+                 idempotent: tuple[bool, ...], local_identity: tuple[int | None, ...]):
+        self.lclass = lclass
+        self.rclass = rclass
+        self.hclass = hclass
+        self.dclass = dclass
+        self.idempotent = idempotent
+        self.local_identity = local_identity
 
 
-@dataclass(frozen=True)
 class NaturalOrder:
-    leq: tuple[tuple[bool, ...], ...]
-    maximal: tuple[bool, ...]
+    """``leq[a][b]`` says a <= b, and ``maximal[a]`` that nothing is above a."""
+
+    def __init__(self, leq: tuple[tuple[bool, ...], ...], maximal: tuple[bool, ...]):
+        self.leq = leq
+        self.maximal = maximal
 
 
 def validate_table(raw: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> CayleyTable:
-    """Check shape, entry range and associativity; return the frozen table."""
+    """Check shape, entry range and associativity; return the table of tuples."""
     if not isinstance(raw, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in raw):
         raise TableShapeError("table must be a list of rows, each a list of entries")
     rows = [tuple(row) for row in raw]

@@ -7,8 +7,8 @@ members, same names, same order on every run.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .core import CayleyTable, validate_table
 from .errors import BadSpecError, OrderTooLargeError
@@ -191,18 +191,17 @@ def _positive(n: int) -> None:
         raise BadSpecError(f"size must be positive, got {n}")
 
 
+def _relabellings(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Each permutation ``perm`` of 0..n-1, identity first, with its inverse:
+    element i of a relabelled table stands for element ``perm[i]``."""
+    return [(perm, sorted(range(n), key=perm.__getitem__)) for perm in itertools.permutations(range(n))]
+
+
 def canonical_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeling of the table over all permutations."""
-    n = len(rows)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        cand = tuple(tuple(inv[rows[perm[i]][perm[j]]] for j in range(n)) for i in range(n))
-        if best is None or cand < best:
-            best = cand
-    return best
+    rng = range(len(rows))
+    relabelled = (tuple(tuple(inv[rows[perm[i]][perm[j]]] for j in rng) for i in rng) for perm, inv in _relabellings(len(rows)))
+    return min(relabelled)
 
 
 def enumerate_small(n: int) -> list[CayleyTable]:
@@ -210,15 +209,19 @@ def enumerate_small(n: int) -> list[CayleyTable]:
 
     Backtracking: the table is filled cell by cell in row-major order, and a
     value is kept only while every associativity triple whose four products
-    are already filled holds.  Each complete table is kept as its
-    :func:`canonical_form`, and the classes come out sorted by that form.
+    are already filled holds, and no relabelling reads lexicographically
+    smaller on the cells filled so far.  So each complete table is its own
+    :func:`canonical_form`, and the fill finds the classes in ascending order.
     """
     if n > 3:
         raise OrderTooLargeError(f"exhaustive enumeration is capped at order 3, got {n}")
     _positive(n)
     rng = range(n)
     t: list[list[int | None]] = [[None] * n for _ in rng]
-    seen: set[tuple[tuple[int, ...], ...]] = set()
+    cells = [(i, j) for i in rng for j in rng]
+    # per non-identity relabelling: the cell that each cell of the relabelled table reads
+    moved = [(inv, [(perm[i], perm[j]) for i, j in cells]) for perm, inv in _relabellings(n)[1:]]
+    found: list[CayleyTable] = []
 
     def consistent() -> bool:
         for x in rng:
@@ -237,19 +240,32 @@ def enumerate_small(n: int) -> list[CayleyTable]:
                         return False
         return True
 
+    def lex_least() -> bool:
+        # the first cell where a relabelling differs decides, while both cells are filled
+        for inv, sources in moved:
+            for (i, j), (a, b) in zip(cells, sources):
+                mine, theirs = t[i][j], t[a][b]
+                if mine is None or theirs is None:
+                    break
+                if inv[theirs] != mine:
+                    if inv[theirs] < mine:
+                        return False
+                    break
+        return True
+
     def fill(cell: int) -> None:
         if cell == n * n:
-            seen.add(canonical_form(t))
+            found.append(CayleyTable(n, tuple(map(tuple, t))))
             return
         row = t[cell // n]
         for v in rng:
             row[cell % n] = v
-            if consistent():
+            if consistent() and lex_least():
                 fill(cell + 1)
         row[cell % n] = None
 
     fill(0)
-    return [CayleyTable(n, rows) for rows in sorted(seen)]
+    return found
 
 
 def _collapse_hom(src: CayleyTable, target_element: int) -> tuple[int, ...]:
@@ -370,12 +386,7 @@ def corpus(profile: str = "full") -> tuple[tuple[str, CayleyTable], ...]:
         raise BadSpecError(f"unknown corpus profile {profile!r}")
     named = _named_small_families()
     known = {canonical_form(s.table) for _, s in named if s.order == 3}
-    extras = []
-    for s in enumerate_small(3):
-        canon = canonical_form(s.table)
-        if canon not in known:
-            extras.append(s)
-            known.add(canon)
+    extras = [s for s in enumerate_small(3) if s.table not in known]
     members = named + [(f"order3-{i:02d}", s) for i, s in enumerate(extras)]
     if profile == "quick":
         members = [(name, s) for name, s in members if s.order <= 4]

@@ -10,8 +10,6 @@ can be checked exhaustively by :mod:`crglobal.statements`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CayleyTable, natural_order, submasks, subset_or
 from .errors import (
     BlockSizeMismatchError,
@@ -97,13 +95,16 @@ def extract_theta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
 # -- the element map ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Transfer:
     """The maps one subset isomorphism transfers to: the component map
     ``theta`` and the element isomorphism ``eta`` built on it."""
 
-    theta: IsoMap
-    eta: IsoMap
+    def __init__(self, theta: IsoMap, eta: IsoMap):
+        self.theta = theta
+        self.eta = eta
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Transfer and vars(self) == vars(other)
 
 
 def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Transfer:

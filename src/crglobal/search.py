@@ -6,14 +6,12 @@ graph isomorphism, II", J. Symbolic Comput. 2014)."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, itemgetter
 
 from .core import CayleyTable, derived, green_relations
 from .errors import SearchBudgetExceededError, SearchResultError
 
 
-@dataclass(frozen=True)
 class IsoMap:
     """A bijection between two carriers of the same kind, given by its images
     and checked, where a reader needs it, with :func:`verify_morphism`.
@@ -21,8 +19,12 @@ class IsoMap:
     kind is "elements", "subsets" (indexed by mask - 1) or "components".
     """
 
-    kind: str
-    forward: tuple[int, ...]
+    def __init__(self, kind: str, forward: tuple[int, ...]):
+        self.kind = kind
+        self.forward = forward
+
+    def __eq__(self, other) -> bool:
+        return type(other) is IsoMap and vars(self) == vars(other)
 
 
 def verify_morphism(a: CayleyTable, b: CayleyTable, forward) -> bool:

@@ -11,8 +11,6 @@ test or a tracer can replace one there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .breakable import (
     a2_characterization,
     a3_characterization,
@@ -68,17 +66,23 @@ STATEMENTS = (
 )
 
 
-@dataclass(frozen=True)
 class Record:
     """One verified claim: ``instances`` checked in ``scope``, and the first
     failing instance as ``witness``.  Statement records carry an empty
     scope, which ``verify`` fills with the member or with the pair and map."""
 
-    check: str
-    scope: str
-    instances: int
-    ok: bool
-    witness: str | None = None
+    def __init__(self, check: str, scope: str, instances: int, ok: bool, witness: str | None = None):
+        self.check = check
+        self.scope = scope
+        self.instances = instances
+        self.ok = ok
+        self.witness = witness
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Record and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"Record{tuple(vars(self).values())!r}"
 
 
 class _Check:
@@ -169,7 +173,7 @@ def check_member_statements(members) -> list[Record]:
         else:
             witness = "not completely regular"
             found = [Record(check, "", 0, False, witness) for check, side in STATEMENTS if side != "psi"]
-        records += [replace(rec, scope=name) for rec in found]
+        records += [Record(rec.check, name, rec.instances, rec.ok, rec.witness) for rec in found]
     return records
 
 
@@ -218,7 +222,8 @@ def verify_statement_suite(
     _image_bijections(checks, s, s2, image)
     _ideal_checks(checks, s, s2, image)
     _cs0_checks(checks, s, s2, image, theta)
-    _cross_component_checks(checks, s, s2, image, preimage, theta)
+    _preimage_checks(checks, s, image, preimage)
+    _cross_component_checks(checks, s, s2, image, theta)
     _pair_chain_checks(checks, s, image)
     _nonmaximal_checks(checks, s, image)
 
@@ -583,10 +588,22 @@ def _nonmaximal_checks(checks, s: CayleyTable, image: list[int]) -> None:
             ck.count(img.bit_count() == 1, "non-maximal {} has image {:#x}", a, img)
 
 
+def _preimage_checks(checks, s: CayleyTable, image: list[int], preimage: list[int]) -> None:
+    # reads only psi and its inverse, so it runs whether or not the component map was refused
+    ck = checks["preimage-sandwich-transfer"]
+    prod = power_of(s).product_mask
+    for (a, _beta), pairs in _sandwiches(s).items():
+        for s_el in bits(image[1 << a]):
+            pre = preimage[1 << s_el]
+            for bm, rhs in pairs:
+                ck.count(
+                    prod(prod(pre, bm), pre) == rhs, "conjugates of {:#x} by preimage of {} and by {} differ", bm, s_el, a
+                )
+
+
 def _cross_component_checks(
-    checks, s: CayleyTable, s2: CayleyTable, image: list[int], preimage: list[int], theta: IsoMap | FalsificationError
+    checks, s: CayleyTable, s2: CayleyTable, image: list[int], theta: IsoMap | FalsificationError
 ) -> None:
-    ck_pre = checks["preimage-sandwich-transfer"]
     ck_single = checks["cross-sandwich-singleton"]
     ck_rho = checks["rho-image-transfer"]
     if isinstance(theta, FalsificationError):
@@ -594,20 +611,11 @@ def _cross_component_checks(
         ck_rho.refuse(f"component map unavailable: {theta}")
         return
     dec, dec2 = decompose(s), decompose(s2)
-    prod, prod2 = power_of(s).product_mask, power_of(s2).product_mask
-    sandwiches = _sandwiches(s)
+    prod2 = power_of(s2).product_mask
     for alpha in range(dec.count):
         for beta in sorted(dec.below[alpha]):
             for a in dec.component_elements(alpha):
                 img = image[1 << a]
-                pairs = sandwiches[a, beta]
-                for s_el in bits(img):
-                    pre = preimage[1 << s_el]
-                    for bm, rhs in pairs:
-                        ck_pre.count(
-                            prod(prod(pre, bm), pre) == rhs,
-                            "conjugates of {:#x} by preimage of {} and by {} differ", bm, s_el, a,
-                        )
                 for t_el in bits(dec2.components[theta.forward[beta]]):
                     sandwich = prod2(prod2(img, 1 << t_el), img)
                     ck_single.count(

@@ -11,8 +11,6 @@ over the carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CayleyTable, bits, check_subset_mask, derived, green_relations, is_completely_regular, is_completely_simple, is_left_zero, is_right_zero, mask_of, natural_order, restrict
 from .errors import DecompositionError, NotCompletelyRegularError, WrongComponentKindError
 
@@ -21,16 +19,18 @@ RIGHT_ZERO = "right-zero"
 CS0 = "cs0"
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    base: CayleyTable
-    semilattice: CayleyTable
-    component_of: tuple[int, ...]
-    components: tuple[int, ...]
-    classification: tuple[str, ...]
-    below: tuple[frozenset[int], ...]
-    above: tuple[frozenset[int], ...]
-    zero_components: tuple[int, ...]
+    def __init__(self, base: CayleyTable, semilattice: CayleyTable, component_of: tuple[int, ...], components: tuple[int, ...],
+                 classification: tuple[str, ...], below: tuple[frozenset[int], ...], above: tuple[frozenset[int], ...],
+                 zero_components: tuple[int, ...]):
+        self.base = base
+        self.semilattice = semilattice
+        self.component_of = component_of
+        self.components = components
+        self.classification = classification
+        self.below = below
+        self.above = above
+        self.zero_components = zero_components
 
     @property
     def count(self) -> int:
@@ -102,7 +102,6 @@ def id_set_mask(mask: int, dec: Decomposition) -> frozenset[int]:
     return frozenset({dec.component_of[e] for e in bits(check_subset_mask(dec.base, mask))})
 
 
-@dataclass(frozen=True)
 class RhoPartition:
     """Partition of one left/right zero component by sandwich behaviour.
 
@@ -111,7 +110,8 @@ class RhoPartition:
     strictly comparable component; non-maximal elements sit alone.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        self.blocks = blocks
 
     def block_containing(self, element: int) -> tuple[int, ...] | None:
         for block in self.blocks:

@@ -9,7 +9,6 @@ map discovery order and record order are all fixed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
@@ -65,12 +64,13 @@ def cr_members(members, max_order: int) -> list[tuple[str, CayleyTable]]:
     return [(name, s) for name, s in members if s.order <= max_order and is_completely_regular(s)]
 
 
-@dataclass
 class SweepResult:
-    records: list[Record]
-    psi_total: int
-    nonsingleton_on_left_zero: int
-    etas: dict[tuple[str, str, int], IsoMap]
+    def __init__(self, records: list[Record], psi_total: int, nonsingleton_on_left_zero: int,
+                 etas: dict[tuple[str, str, int], IsoMap]):
+        self.records = records
+        self.psi_total = psi_total
+        self.nonsingleton_on_left_zero = nonsingleton_on_left_zero
+        self.etas = etas
 
 
 def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> tuple[list[IsoMap], list[IsoMap]]:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import sys
@@ -354,4 +353,4 @@ def test_records_serialize_as_sorted_json_of_their_fields():
     assert records_to_json_lines([]) == "\n"
     lines = records_to_json_lines(records)
     assert lines.endswith("\n")
-    assert lines.split("\n")[:-1] == [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in records]
+    assert lines.split("\n")[:-1] == [json.dumps(vars(r), sort_keys=True) for r in records]

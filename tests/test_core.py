@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from oracles import (
@@ -30,6 +32,8 @@ from crglobal.errors import (
     NotSubsemigroupError,
     TableShapeError,
 )
+from crglobal.statements import Record
+from crglobal.verify import records_to_json_lines
 
 
 def test_validate_trivial():
@@ -191,3 +195,22 @@ def test_natural_order_is_partial_order_and_matches_oracle(cr6):
 def test_restrict_rejects_open_subset():
     with pytest.raises(NotSubsemigroupError):
         restrict(families.cyclic_group(4), [1, 2])
+
+
+def test_hand_written_contracts_of_table_and_record():
+    # equal tables built separately are equal, hash alike and read alike,
+    # whatever either has derived; labels take part, derived data does not
+    a = validate_table([[0, 1], [1, 0]], ["e", "g"])
+    b = validate_table([[0, 1], [1, 0]], ["e", "g"])
+    green_relations(a)
+    assert a is not b and a._derived and not b._derived
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "CayleyTable(order=2)"
+    assert a != validate_table([[0, 1], [1, 0]]) and a != a.table
+    # a record is its five fields, positional order first; a line of
+    # records_to_json_lines gives them sorted
+    r = Record("check", "scope", 3, False, "witness")
+    fields = [("check", "check"), ("scope", "scope"), ("instances", 3), ("ok", False), ("witness", "witness")]
+    assert list(vars(r).items()) == fields
+    assert list(json.loads(records_to_json_lines([r]))) == sorted(vars(r))
+    assert r == Record("check", "scope", 3, False, "witness") != Record("check", "scope", 3, False)
+    assert repr(r) == "Record('check', 'scope', 3, False, 'witness')"

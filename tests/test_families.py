@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -180,6 +181,20 @@ def test_corpus_is_deterministic_and_valid(corpus_members):
     assert [(n, s.table) for n, s in corpus_members] == [(n, s.table) for n, s in again]
     for name, s in corpus_members:
         assert validate_table(s.table).table == s.table, name
+
+
+# sha256 of repr([(name, table, labels), ...]) per profile: the same members,
+# names, tables and order on every run and after every speed-up of the build
+CORPUS_DIGESTS = {
+    "full": (51, "82fff69226db4b2b9d8d46971b073b4b44ad29d7c15101f0887f308e2924ffe5"),
+    "quick": (41, "60d5a416c7ad54205be5b8188b900dd96179e7a27dcff7211542eca60cdfc1b5"),
+}
+
+
+@pytest.mark.parametrize("profile", CORPUS_DIGESTS)
+def test_corpus_is_pinned(profile):
+    rows = [(name, s.table, s.labels) for name, s in corpus(profile)]
+    assert (len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()) == CORPUS_DIGESTS[profile]
 
 
 def test_corpus_contains_required_members(named):

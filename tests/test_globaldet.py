@@ -9,7 +9,6 @@ import random
 import sys
 import weakref
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from oracles import (
 )
 
 from crglobal import families, globaldet, search, statements, structure, verify
-from crglobal.breakable import enumerate_a2bar_masks
+from crglobal.breakable import BreakableForm, enumerate_a2bar_masks
 from crglobal.cli import main, table_to_json
 from crglobal.core import CayleyTable, bits, is_left_zero, natural_order, validate_table
 from crglobal.errors import (
@@ -52,7 +51,7 @@ from crglobal.statements import (
     verify_member_statements,
     verify_statement_suite,
 )
-from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, decompose, rho_partition
+from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, rho_partition
 from crglobal.verify import (
     check_a3_equivalence,
     check_member_statements,
@@ -945,9 +944,14 @@ def test_an_injected_member_adds_no_coverage():
 
 def test_a_refused_component_map_counts_no_instance(named):
     s = named["lz2-over-zero"]
-    records = verify_statement_suite(s, s, psis_of(s, s)[0], ThetaNotSingletonError("refused"))
+    psi = psis_of(s, s)[0]
+    records = verify_statement_suite(s, s, psi, ThetaNotSingletonError("refused"))
     needs_map = [r for r in records if r.check in ("cs0-singleton-restriction", "cross-sandwich-singleton", "rho-image-transfer")]
     assert [(r.instances, r.ok, r.witness) for r in needs_map] == [(0, False, "component map unavailable: refused")] * 3
+    # preimage-sandwich-transfer reads only psi and its preimage, so it counts as many instances as with the map
+    with_map = verify_statement_suite(s, s, psi, extract_theta(psi, decompose(s), decompose(s)))
+    for found in (records, with_map):
+        assert [(r.instances, r.ok) for r in found if r.check == "preimage-sandwich-transfer"] == [(2, True)]
 
 
 def test_member_statements_have_one_record_per_sweep_member():
@@ -1049,7 +1053,10 @@ def test_a_dropped_semilattice_relation_fails_a_member_statement(cr6):
                 above = list(dec.above)
                 below[beta] -= {alpha}
                 above[alpha] -= {beta}
-                t._derived[decompose.__wrapped__] = replace(dec, below=tuple(below), above=tuple(above))
+                t._derived[decompose.__wrapped__] = Decomposition(
+                    dec.base, dec.semilattice, dec.component_of, dec.components, dec.classification,
+                    tuple(below), tuple(above), dec.zero_components,
+                )
                 failed = {r.check for r in check_member_statements([(name, t)]) if not r.ok}
                 faults += 1
                 missed += not failed
@@ -1069,7 +1076,7 @@ def test_a_planted_chunk_kind_fails_only_its_structural_form(named, cr4, capsys,
     def structural_form(s, am):
         form = real(s, am)
         if s == target and am == mask:
-            return replace(form, kinds=("right-zero",) * len(form.kinds))
+            return BreakableForm(form.chunks, ("right-zero",) * len(form.kinds))
         return form
 
     monkeypatch.setattr(statements, "structural_form", structural_form)

@@ -5,10 +5,14 @@ process-level values that are not per table, and no object fills a slot of
 its own on first use.  No closure rebinds a name of its enclosing function
 with ``nonlocal``: state that steps share lives on an object, as the search
 state does on ``search.SearchState``.  An ``IsoMap`` is its forward map, with
-no trust flag that a reader could believe in place of checking the map."""
+no trust flag that a reader could believe in place of checking the map.
+Every command starts a fresh interpreter, so the library imports nothing it
+does not use: no ``dataclasses``, whose import pulls in ``inspect`` and
+``ast``, and no ``typing``."""
 
 import ast
-import dataclasses
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +77,30 @@ def lazy_slots(tree: ast.Module) -> list[int]:
 def nonlocal_uses(tree: ast.Module) -> list[int]:
     """Lines of the ``nonlocal`` statements."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)]
+
+
+def dataclass_imports(tree: ast.Module) -> list[int]:
+    """Lines that import the ``dataclasses`` module or a name from it."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+
+
+# modules whose import costs a cold start milliseconds and that the library does not use
+UNUSED_MODULES = ("dataclasses", "inspect", "ast", "typing")
+
+
+def modules_loaded_by_cli(src: Path) -> list[str]:
+    """The ``UNUSED_MODULES`` that ``import crglobal.cli`` leaves in
+    ``sys.modules`` of a fresh ``python -S`` interpreter importing from ``src``."""
+    code = f"import sys, crglobal.cli; print(*[m for m in {UNUSED_MODULES!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
 
 
 def test_sources_are_found():
@@ -160,7 +188,7 @@ def test_nonlocal_uses_sees_each_spelling():
 
 
 def test_an_isomap_is_its_forward_map():
-    assert [field.name for field in dataclasses.fields(IsoMap)] == ["kind", "forward"]
+    assert list(vars(IsoMap("subsets", (0,)))) == ["kind", "forward"]
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -190,3 +218,34 @@ def test_each_module_imports_alone(module):
         [sys.executable, "-c", IMPORT_ALONE, str(SOURCES[0].parent), module], capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_no_dataclasses_in_the_library():
+    found = [
+        f"{path.name}:{line}" for path in SOURCES for line in dataclass_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_dataclass_imports_sees_each_spelling():
+    # the rule's own control: each way of importing the module is reported, a
+    # name that only contains it is not
+    tree = ast.parse(
+        "import dataclasses\n"
+        "import os, dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "from .dataclasses_like import x\n"
+    )
+    assert dataclass_imports(tree) == [1, 2, 3]
+
+
+def test_the_cli_imports_no_unused_module():
+    assert modules_loaded_by_cli(SOURCES[0].parent.parent) == []
+
+
+def test_modules_loaded_by_cli_sees_a_planted_import(tmp_path):
+    # the check's own control: one import planted in a copy of the library is reported
+    shutil.copytree(SOURCES[0].parent, tmp_path / "crglobal", ignore=shutil.ignore_patterns("__pycache__"))
+    core = tmp_path / "crglobal" / "core.py"
+    core.write_text(core.read_text(encoding="utf-8") + "import dataclasses\n", encoding="utf-8")
+    assert {"dataclasses", "inspect", "ast"} <= set(modules_loaded_by_cli(tmp_path))
