@@ -25,11 +25,10 @@ from .breakable import (
 from .core import CayleyTable, bits, green_relations, idempotents, is_completely_regular, is_completely_simple, natural_order, validate_table
 from .errors import FalsificationError, SemigroupError
 from .families import corpus
-from .globaldet import construct_eta
 from .power import check_green_order, power_of
-from .statements import verify_member_statements, verify_statement_suite
+from .statements import verify_member_statements
 from .structure import decompose
-from .verify import collect_psis, records_to_json_lines, run_all, summarize
+from .verify import collect_psis, records_to_json_lines, run_all, summarize, transfer_map
 
 ENV_INJECT = "CRGLOBAL_INJECT"
 
@@ -160,24 +159,20 @@ def cmd_globaliso(args) -> int:
         if not rec.ok:
             print(f"FAIL {rec.check}: {rec.witness}")
             failures += 1
-    dec_a, dec_b = decompose(s), decompose(s2)
     etas = []
     for k, psi in enumerate(psis):
-        try:
-            transfer = construct_eta(psi, dec_a, dec_b)
-        except FalsificationError as exc:
-            print(f"psi {k}: FALSIFIED: {exc}")
+        theta, eta, suite = transfer_map(s, s2, psi)
+        if isinstance(eta, FalsificationError):
+            print(f"psi {k}: FALSIFIED: {eta}")
             failures += 1
             continue
-        suite = verify_statement_suite(s, s2, psi, transfer.theta)
         bad = [rec for rec in suite if not rec.ok]
         status = "all-pass" if not bad else f"{len(bad)} failing statements"
-        eta = list(transfer.eta.forward)
-        print(f"psi {k}: component map {list(transfer.theta.forward)}, eta {eta}, suite {status}")
+        print(f"psi {k}: component map {list(theta.forward)}, eta {list(eta.forward)}, suite {status}")
         for rec in bad:
             print(f"  FAIL {rec.check}: {rec.witness}")
             failures += 1
-        etas.append({"psi": k, "eta": eta})
+        etas.append({"psi": k, "eta": list(eta.forward)})
     if args.emit_eta:
         with open(args.emit_eta, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(etas, sort_keys=True) + "\n")

@@ -68,10 +68,16 @@ STATEMENTS = (
 
 class Record:
     """One verified claim: ``instances`` checked in ``scope``, and the first
-    failing instance as ``witness``.  Statement records carry an empty
-    scope, which ``verify`` fills with the member or with the pair and map."""
+    failing instance as ``witness``.  A statement's record counts its own
+    instances; it carries an empty scope, and ``verify`` reports a copy
+    scoped to the member or to the pair and map.
 
-    def __init__(self, check: str, scope: str, instances: int, ok: bool, witness: str | None = None):
+    A witness is given to :meth:`count` as a ``str.format`` template and its
+    arguments, and only the first failing instance formats it; the rest pass
+    the template unformatted.
+    """
+
+    def __init__(self, check: str, scope: str = "", instances: int = 0, ok: bool = True, witness: str | None = None):
         self.check = check
         self.scope = scope
         self.instances = instances
@@ -83,22 +89,6 @@ class Record:
 
     def __repr__(self) -> str:
         return f"Record{tuple(vars(self).values())!r}"
-
-
-class _Check:
-    """Accumulates one suite statement: counts every instance and keeps the
-    first witness.
-
-    A witness is given as a ``str.format`` template and its arguments, and
-    only the first failing instance formats it; the rest pass the template
-    unformatted.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-        self.instances = 0
-        self.ok = True
-        self.witness: str | None = None
 
     def count(self, ok: bool, template: str, *args) -> None:
         self.instances += 1
@@ -114,9 +104,6 @@ class _Check:
         if self.ok:
             self.ok, self.witness = False, witness
 
-    def record(self) -> Record:
-        return Record(self.name, "", self.instances, self.ok, self.witness)
-
 
 def check_subset_map(psi: IsoMap, s: CayleyTable, s2: CayleyTable) -> None:
     """Refuse a subset map that is not a map P(s) -> P(s2) between bases of one
@@ -130,16 +117,16 @@ def check_subset_map(psi: IsoMap, s: CayleyTable, s2: CayleyTable) -> None:
 
 @derived
 def _support_groups(s: CayleyTable) -> list[tuple[list[int], list[bool]]]:
-    """The nonempty subsets grouped by the R-classes they meet, groups of one
-    left out, each group ascending and paired with, for each member after
-    the first, whether its right ideal equals the first member's."""
+    """The nonempty subsets grouped by the R-classes they meet, each group
+    ascending and paired with, for each member after the first, whether its
+    right ideal equals the first member's."""
     ideals = power_of(s).right_ideals
     # support[mask]: bit r set when mask meets R-class r
     support = subset_or([1 << r for r in green_relations(s).rclass])
     groups: dict[int, list[int]] = {}
     for mask in range(1, len(support)):
         groups.setdefault(support[mask], []).append(mask)
-    return [(g, [ideals[o] == ideals[g[0]] for o in g[1:]]) for g in groups.values() if len(g) > 1]
+    return [(g, [ideals[o] == ideals[g[0]] for o in g[1:]]) for g in groups.values()]
 
 
 @derived
@@ -166,13 +153,13 @@ def check_member_statements(members) -> list[Record]:
     records = []
     for name, s in members:
         if is_completely_regular(s):
-            checks = {check: _Check(check) for check, side in STATEMENTS if side == "family"}
+            checks = {check: Record(check) for check, side in STATEMENTS if side == "family"}
             for group in (check_a3_equivalence, check_a2_equivalence, check_structural_forms, check_power_h_classes):
                 group(checks, s)
-            found = [ck.record() for ck in checks.values()] + verify_member_statements(s)
+            found = list(checks.values()) + verify_member_statements(s)
         else:
             witness = "not completely regular"
-            found = [Record(check, "", 0, False, witness) for check, side in STATEMENTS if side != "psi"]
+            found = [Record(check, ok=False, witness=witness) for check, side in STATEMENTS if side != "psi"]
         records += [Record(rec.check, name, rec.instances, rec.ok, rec.witness) for rec in found]
     return records
 
@@ -181,14 +168,14 @@ def verify_member_statements(s: CayleyTable) -> list[Record]:
     """Exhaustively instantiate the statements that read only ``s``: one
     record per member row of :data:`STATEMENTS`, in table order, counted as
     in :func:`verify_statement_suite`."""
-    checks = {check: _Check(check) for check, side in STATEMENTS if side == "member"}
+    checks = {check: Record(check) for check, side in STATEMENTS if side == "member"}
     prod = power_of(s).product_mask
     _a3_shape_checks(checks, s, prod)
     _rigidity_checks(checks, s)
     _power_green_checks(checks, s)
     _ep_order_checks(checks, s, prod)
     _rho_checks(checks, s, prod)
-    return [ck.record() for ck in checks.values()]
+    return list(checks.values())
 
 
 def verify_statement_suite(
@@ -214,7 +201,7 @@ def verify_statement_suite(
         len(theta.forward) != decompose(s).count or sorted(theta.forward) != list(range(decompose(s2).count))
     ):
         raise ParentMismatchError(f"component map {list(theta.forward)} does not match the components of both tables")
-    checks = {check: _Check(check) for check, side in STATEMENTS if side == "psi"}
+    checks = {check: Record(check) for check, side in STATEMENTS if side == "psi"}
     # image[A] and preimage[A] are the masks of psi(A) and psi^-1(A); index 0 is unused
     image = [0, *map((1).__add__, psi.forward)]
     preimage = sorted(range(len(image)), key=image.__getitem__)  # inverts the permutation image
@@ -227,7 +214,7 @@ def verify_statement_suite(
     _pair_chain_checks(checks, s, image)
     _nonmaximal_checks(checks, s, image)
 
-    return [ck.record() for ck in checks.values()]
+    return list(checks.values())
 
 
 def check_a3_equivalence(checks, s: CayleyTable) -> None:

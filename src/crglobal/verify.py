@@ -93,12 +93,28 @@ def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> tuple[list[
     return phis, psis
 
 
+def transfer_map(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> tuple[IsoMap | FalsificationError, IsoMap | FalsificationError, list[Record]]:
+    """The component map ``theta`` and the element map ``eta`` of one subset
+    map, each given as the error that refused it where it was refused, and
+    the records of the statement suite run on ``theta``."""
+    dec_a, dec_b = decompose(s), decompose(s2)
+    try:
+        transfer = construct_eta(psi, dec_a, dec_b)
+        theta, eta = transfer.theta, transfer.eta
+    except ThetaNotSingletonError as exc:
+        theta = eta = exc
+    except FalsificationError as exc:
+        # the element map failed after the component map was
+        # extracted; only this failure extracts it a second time
+        theta, eta = extract_theta(psi, dec_a, dec_b), exc
+    return theta, eta, verify_statement_suite(s, s2, psi, theta)
+
+
 def global_sweep(members) -> SweepResult:
     """Run the whole pipeline over every same-order pair of members: collect
     element and subset isomorphisms, record for a pair without element
-    isomorphisms that it has no subset isomorphisms either, build the element
-    map (which extracts the component map first), and run the statement suite
-    per subset isomorphism on that component map."""
+    isomorphisms that it has no subset isomorphisms either, and record what
+    :func:`transfer_map` gives for each subset isomorphism."""
     records: list[Record] = []
     psi_total = 0
     nonsingleton = 0
@@ -115,31 +131,18 @@ def global_sweep(members) -> SweepResult:
                 # neither are P(S) and P(T)
                 witness = f"{len(psis)} subset isomorphisms found" if psis else None
                 records.append(Record("power-nonisomorphic", scope, 1, not psis, witness))
-            if not psis:
-                continue
-            dec_a, dec_b = decompose(s), decompose(s2)
             for k, psi in enumerate(psis):
                 psi_total += 1
                 if is_left_zero(s) and not is_singleton_preserving(psi, s.order):
                     nonsingleton += 1
                 pscope = f"{scope}#psi{k}"
-                theta_witness = eta_witness = None
-                try:
-                    transfer = construct_eta(psi, dec_a, dec_b)
-                    theta = transfer.theta
-                    etas[(name_a, name_b, k)] = transfer.eta
-                except ThetaNotSingletonError as exc:
-                    theta = exc
-                    theta_witness = eta_witness = str(exc)
-                except FalsificationError as exc:
-                    # the element map failed after the component map was
-                    # extracted; only this failure extracts it a second time
-                    theta = extract_theta(psi, dec_a, dec_b)
-                    eta_witness = str(exc)
-                records.append(Record("theta-extraction", pscope, 1, theta_witness is None, theta_witness))
-                records.append(Record("eta-construction", pscope, 1, eta_witness is None, eta_witness))
-                for rec in verify_statement_suite(s, s2, psi, theta):
-                    records.append(Record(rec.check, pscope, rec.instances, rec.ok, rec.witness))
+                theta, eta, suite = transfer_map(s, s2, psi)
+                for check, found in (("theta-extraction", theta), ("eta-construction", eta)):
+                    witness = str(found) if isinstance(found, FalsificationError) else None
+                    records.append(Record(check, pscope, 1, witness is None, witness))
+                if not isinstance(eta, FalsificationError):
+                    etas[(name_a, name_b, k)] = eta
+                records += [Record(rec.check, pscope, rec.instances, rec.ok, rec.witness) for rec in suite]
     return SweepResult(records, psi_total, nonsingleton, etas)
 
 

@@ -24,7 +24,7 @@ from oracles import (
 from crglobal import families, globaldet, search, statements, structure, verify
 from crglobal.breakable import BreakableForm, enumerate_a2bar_masks
 from crglobal.cli import main, table_to_json
-from crglobal.core import CayleyTable, bits, is_left_zero, natural_order, validate_table
+from crglobal.core import CayleyTable, GreenData, bits, green_relations, is_left_zero, natural_order, validate_table
 from crglobal.errors import (
     EtaNotMorphismError,
     OrderTooLargeError,
@@ -47,7 +47,6 @@ from crglobal.search import IsoMap, find_isomorphisms, verify_morphism
 from crglobal.statements import (
     STATEMENTS,
     Record,
-    _Check,
     verify_member_statements,
     verify_statement_suite,
 )
@@ -986,9 +985,9 @@ def test_verify_reports_statements_and_sweep_records_only():
 def test_a_non_regular_table_fails_the_triple_scan_off_hypothesis():
     # the triple-product scan is sharp: on the null semigroup of order 2, off
     # the completely regular hypothesis, it disagrees with the direct check
-    checks = {check: _Check(check) for check in statement_ids("family")}
+    checks = {check: Record(check) for check in statement_ids("family")}
     check_a3_equivalence(checks, verify.NON_CR_INJECTION)
-    rec = checks["a3-characterization-equivalence"].record()
+    rec = checks["a3-characterization-equivalence"]
     assert (rec.instances, rec.ok, rec.witness) == (1, False, "subset 0x1 is in the class but the scan disagrees")
 
 
@@ -1036,6 +1035,31 @@ def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monke
     assert lines[0] == f"FAIL rho-sandwich-collapse: {rec.witness}"
     assert lines[1].startswith("psi 0: ")
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+def test_a_planted_local_identity_fails_rigid_cube_identity(named):
+    # negative control for the identity half of rigid-cube-identity: on
+    # left-zero-2 every cube is its element, so only a local identity that
+    # leaves the subset can fail it
+    t = fresh(named["left-zero-2"])
+    g = green_relations(t)
+    assert g.local_identity == (0, 1)
+    t._derived[green_relations.__wrapped__] = GreenData(g.lclass, g.rclass, g.hclass, g.dclass, g.idempotent, (1, 1))
+    [rec] = [r for r in verify_member_statements(t) if r.check == "rigid-cube-identity"]
+    assert (rec.instances, rec.ok, rec.witness) == (4, False, "a=0 in 0x1: cube 0, identity 1")
+
+
+def test_a_planted_sandwich_block_fails_rho_lower_translation(named):
+    # negative control for rho-lower-translation: on lz2-tower, 2 and 3 of
+    # the upper left zero component translate the lower one differently, so
+    # a block that joins them must fail the record
+    t = fresh(named["lz2-tower"])
+    partitions = structure._sandwich_partitions(t)
+    assert partitions[1].blocks == ((2,), (3,))
+    planted = {**partitions, 1: structure.RhoPartition(((2, 3),))}
+    t._derived[structure._sandwich_partitions.__wrapped__] = planted
+    [rec] = [r for r in verify_member_statements(t) if r.check == "rho-lower-translation"]
+    assert (rec.instances, rec.ok, rec.witness) == (2, False, "2 and 3 translate 0 differently")
 
 
 def test_a_dropped_semilattice_relation_fails_a_member_statement(cr6):
@@ -1108,6 +1132,32 @@ def test_transfer_work_is_done_once_per_table_and_map(cr5):
     )
     assert runs["partitions"] == zero_components
     assert runs["thetas"] == result.psi_total > 0, (runs, result.psi_total)
+
+
+def test_sweep_and_globaliso_transfer_each_map_through_transfer_map(cr4, named, tmp_path, capsys, monkeypatch):
+    # one path from a subset map to its records: wrap transfer_map wherever a
+    # crglobal module holds it, and both drivers call it once per map
+    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
+    real = verify.transfer_map
+    calls = []
+
+    def transfer_map(s, s2, psi):
+        calls.append(psi)
+        return real(s, s2, psi)
+
+    for key, module in list(sys.modules.items()):
+        if key == "crglobal" or key.startswith("crglobal."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, transfer_map)
+    result = global_sweep(cr4)
+    assert len(calls) == result.psi_total > 0
+    calls.clear()
+    path = tmp_path / "lz2-over-zero.json"
+    path.write_text(table_to_json("lz2-over-zero", named["lz2-over-zero"]))
+    assert main(["globaliso", str(path), str(path)]) == 0
+    maps = [line for line in capsys.readouterr().out.splitlines() if line.startswith("psi ")]
+    assert len(calls) == len(maps) > 1
 
 
 def test_sweep_runs_one_element_search_per_pair(cr5):
