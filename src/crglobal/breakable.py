@@ -68,10 +68,9 @@ def _products_among_factors(t, mask: int, n: int) -> bool:
 def enumerate_a3_masks(s: CayleyTable) -> dict[int, None]:
     """The triple-condition subsemigroups ascending, as the keys of a dict so
     that membership is one lookup, like the two enumerations below."""
-    # A is closed exactly when A*A lies inside A
-    squares = power_of(s).squares
+    # a closed A with a = a*a*a for each a has A*A = A, so A is an idempotent subset
     t = s.table
-    return dict.fromkeys(m for m in range(1, 1 << s.order) if squares[m] | m == m and _products_among_factors(t, m, 3))
+    return dict.fromkeys(m for m in power_of(s).idempotent_masks() if _products_among_factors(t, m, 3))
 
 
 @derived

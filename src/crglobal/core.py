@@ -166,15 +166,11 @@ def idempotents(s: CayleyTable) -> tuple[int, ...]:
     return tuple(a for a in range(s.order) if s.table[a][a] == a)
 
 
-def _number_classes(keys: list) -> tuple[int, ...]:
-    # class ids in order of first occurrence, so the smallest member names its class
-    seen: dict = {}
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen[k] = len(seen)
-        out.append(seen[k])
-    return tuple(out)
+def number_classes(keys: Iterable) -> list[int]:
+    """Class ids of ``keys`` in order of first occurrence, so the first key
+    of each class names it."""
+    ids: dict = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
 
 
 @derived
@@ -191,15 +187,15 @@ def green_relations(s: CayleyTable) -> GreenData:
     # S^1 a is column a with a, a S^1 is row a with a
     lideal = [frozenset(col).union((a,)) for a, col in enumerate(zip(*t))]
     rideal = [frozenset(row).union((a,)) for a, row in enumerate(t)]
-    lclass = _number_classes(lideal)
-    rclass = _number_classes(rideal)
-    hclass = _number_classes(list(zip(lclass, rclass)))
+    lclass = tuple(number_classes(lideal))
+    rclass = tuple(number_classes(rideal))
+    hclass = tuple(number_classes(zip(lclass, rclass)))
     # a D b iff a L c R b for some c: the D-class of a is the union of the
     # R-classes that meet the L-class of a
     r_meeting: dict[int, set[int]] = {}
     for a in rng:
         r_meeting.setdefault(lclass[a], set()).add(rclass[a])
-    dclass = _number_classes([frozenset(r_meeting[lclass[a]]) for a in rng])
+    dclass = tuple(number_classes([frozenset(r_meeting[lclass[a]]) for a in rng]))
 
     idem = tuple(t[a][a] == a for a in rng)
     local_identity: list[int | None] = [None] * n

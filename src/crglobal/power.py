@@ -79,12 +79,11 @@ class Power:
         return self.ep_leq_mask(am, bm) and am != bm
 
     def covers(self, am: int, bm: int) -> bool:
-        """True iff no idempotent subset sits strictly between A and B."""
+        """True iff no idempotent subset sits strictly between A and B; the
+        strict order itself excludes C = A and C = B."""
         if not self.ep_lt_mask(am, bm):
             raise NotComparableError("cover checks need a strictly ordered pair")
         for cm in self.idempotent_masks():
-            if cm in (am, bm):
-                continue
             if self.ep_lt_mask(am, cm) and self.ep_lt_mask(cm, bm):
                 return False
         return True

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import add, itemgetter
 
-from .core import CayleyTable, derived, green_relations
+from .core import CayleyTable, derived, green_relations, number_classes
 from .errors import SearchBudgetExceededError, SearchResultError
 
 
@@ -76,10 +76,8 @@ def _base_signature(t: CayleyTable) -> list:
 def _canon_pair(rawa: list, rawb: list) -> tuple[list[int], list[int]]:
     # one colour per distinct signature, shared by both tables; only the
     # partition matters, so colours are numbered in order of first appearance
-    ranks: dict = {}
-    ca = [ranks.setdefault(v, len(ranks)) for v in rawa]
-    cb = [ranks.setdefault(v, len(ranks)) for v in rawb]
-    return ca, cb
+    colors = number_classes(rawa + rawb)
+    return colors[: len(rawa)], colors[len(rawa) :]
 
 
 # tables up to this order keep their neighbourhoods as bytes: every element
@@ -247,38 +245,24 @@ class SearchState:
         while k < len(trail):
             x = trail[k]
             y = fwd[x]
-            rx, ry, cx, cy = ta[x], tb[y], cola[x], colb[y]
             # x and the elements processed before it, newest first (those
-            # queued after x meet x when they are processed); the row and the
-            # column product are checked in turn, spelled out for speed
-            for z in trail[k::-1]:
-                fz = fwd[z]
-                p = rx[z]
-                q = ry[fz]
-                fp = fwd[p]
-                if fp >= 0:
-                    if fp != q:
+            # queued after x meet x when they are processed), along the row
+            # of x and then along its column
+            for line_a, line_b in ((ta[x], tb[y]), (cola[x], colb[y])):
+                for z in trail[k::-1]:
+                    p = line_a[z]
+                    q = line_b[fwd[z]]
+                    fp = fwd[p]
+                    if fp >= 0:
+                        if fp != q:
+                            return False
+                    elif back[q] >= 0 or cb[q] != ca[p]:
                         return False
-                elif back[q] >= 0 or cb[q] != ca[p]:
-                    return False
-                else:
-                    fwd[p] = q
-                    back[q] = p
-                    left[ca[p]] -= 1
-                    trail.append(p)
-                p = cx[z]
-                q = cy[fz]
-                fp = fwd[p]
-                if fp >= 0:
-                    if fp != q:
-                        return False
-                elif back[q] >= 0 or cb[q] != ca[p]:
-                    return False
-                else:
-                    fwd[p] = q
-                    back[q] = p
-                    left[ca[p]] -= 1
-                    trail.append(p)
+                    else:
+                        fwd[p] = q
+                        back[q] = p
+                        left[ca[p]] -= 1
+                        trail.append(p)
             k += 1
         return True
 

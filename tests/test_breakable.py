@@ -13,6 +13,7 @@ from crglobal.breakable import (
     enumerate_a2_masks,
     enumerate_a2bar_masks,
     enumerate_a3_masks,
+    is_a3_mask,
     left_zero_subset_masks,
     satisfies_an_mask,
     structural_form,
@@ -101,6 +102,15 @@ def test_containment_chain(cr6):
         a3 = set(enumerate_a3_masks(s))
         a2bar = set(enumerate_a2bar_masks(s))
         assert a2bar <= a2 <= a3 <= ep, name
+
+
+def test_the_triple_enumeration_is_its_definition_over_every_subset(corpus_members):
+    # the enumeration filters the idempotent subsets; the definition is read
+    # over every nonempty subset, so closed subsets that are not idempotent,
+    # and members that are not completely regular, are covered too
+    extra = [(f"order-{s.order}", s) for s in (families.rect_band(2, 4), families.left_zero(8), families.tower_12())]
+    for name, s in corpus_members + extra:
+        assert list(enumerate_a3_masks(s)) == [m for m in range(1, 1 << s.order) if is_a3_mask(s, m)], name
 
 
 def test_structural_form_clifford(named):

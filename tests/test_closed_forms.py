@@ -1,8 +1,9 @@
-"""Closed forms for the idempotent subsets of small families.
+"""Closed forms for the idempotent subsets of small families, and for the
+H-classes of the subgroups of a group.
 
 Each expectation is computed from the element table alone, never from
-``crglobal.power``; the power semigroup gives only the value under test,
-``power_of(s).idempotent_masks()``.
+``crglobal.power``; the power semigroup gives only the values under test,
+``power_of(s).idempotent_masks()`` and ``power_of(s).h_class(m)``.
 """
 
 import pytest
@@ -63,8 +64,39 @@ def rectangles(s):
     return out
 
 
+def coset(s, g, hm):
+    """The left coset gH as a mask."""
+    return mask_of(s.table[g][h] for h in elements_of(hm, s.order))
+
+
+def normalizer(s, hm):
+    """The g with gH = Hg."""
+    n, t = s.order, s.table
+    return [g for g in range(n) if coset(s, g, hm) == mask_of(t[h][g] for h in elements_of(hm, n))]
+
+
+def h_class_mismatches(s, e, inverse):
+    """(H, C) for each subgroup H and each mask C in exactly one of
+    ``power_of(s).h_class(H)`` and the cosets gH over g in N_G(H)."""
+    out = []
+    for hm in subgroups(s, e, inverse):
+        cosets = {coset(s, g, hm) for g in normalizer(s, hm)}
+        out += [(hm, c) for c in sorted(set(power_of(s).h_class(hm)) ^ cosets)]
+    return out
+
+
 def corpus_groups():
     return [(name, s, group_inverses(s)) for name, s in families.corpus("full") if group_inverses(s)]
+
+
+def order_8_groups():
+    # products at MAX_GREEN_ORDER, the largest base whose power Green classes are read
+    z2 = families.cyclic_group(2)
+    groups = [
+        ("z2-x-z4", families.direct_product(z2, families.cyclic_group(4))),
+        ("z2-x-z2-x-z2", families.direct_product(families.klein_four(), z2)),
+    ]
+    return [(name, s, group_inverses(s)) for name, s in groups]
 
 
 def test_the_idempotent_subsets_of_a_group_are_its_subgroups():
@@ -73,6 +105,19 @@ def test_the_idempotent_subsets_of_a_group_are_its_subgroups():
     assert len(groups) == 8
     for name, s, (e, inverse) in groups:
         assert idempotent_mismatches(s, subgroups(s, e, inverse)) == [], name
+
+
+def test_the_h_class_of_a_subgroup_is_its_cosets_in_the_normalizer():
+    # the H-class of H in P(G) is {gH : g in N_G(H)}, with [N_G(H) : H] members
+    sizes = {}
+    for name, s, (e, inverse) in corpus_groups() + order_8_groups():
+        assert h_class_mismatches(s, e, inverse) == [], name
+        hs = subgroups(s, e, inverse)
+        sizes[name] = [len(power_of(s).h_class(hm)) for hm in hs]
+        assert [size * hm.bit_count() for size, hm in zip(sizes[name], hs)] == [len(normalizer(s, hm)) for hm in hs]
+    assert sizes["sym-3"] == [6, 1, 1, 2, 1, 1]
+    assert sizes["z2-x-z4"] == [8, 4, 2, 4, 4, 2, 2, 1]
+    assert len(sizes["z2-x-z2-x-z2"]) == 16
 
 
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 2), (2, 3), (3, 3)])
@@ -94,7 +139,7 @@ def test_every_nonempty_subset_of_a_left_zero_semigroup_or_chain_is_idempotent(b
 def test_a_planted_translate_row_entry_fails_the_closed_form():
     # negative control: the power semigroup of cyclic-3 built from a table
     # with one wrong product 1*1, so the translate row of 1 is wrong on every
-    # subset holding 1; the subgroup oracle must see the difference
+    # subset holding 1; the subgroup and the coset oracles must see the difference
     _, s, (e, inverse) = next(g for g in corpus_groups() if g[0] == "cyclic-3")
     t = CayleyTable(s.order, s.table, s.labels)
     rows = [list(row) for row in s.table]
@@ -103,3 +148,6 @@ def test_a_planted_translate_row_entry_fails_the_closed_form():
     t._derived[power_of.__wrapped__] = Power(CayleyTable(s.order, tuple(map(tuple, rows))))
     assert idempotent_mismatches(t, subgroups(t, e, inverse)) != []
     assert idempotent_mismatches(s, subgroups(s, e, inverse)) == []
+    # with 1*1 = 0 the singleton {1} leaves the H-class of the trivial subgroup
+    assert h_class_mismatches(t, e, inverse) == [(0b001, 0b010)]
+    assert h_class_mismatches(s, e, inverse) == []

@@ -21,7 +21,7 @@ from oracles import (
     oracle_refine_once,
 )
 
-from crglobal import families, globaldet, search, statements, structure, verify
+from crglobal import families, globaldet, power, search, statements, structure, verify
 from crglobal.breakable import BreakableForm, enumerate_a2bar_masks
 from crglobal.cli import main, table_to_json
 from crglobal.core import CayleyTable, GreenData, bits, green_relations, is_left_zero, natural_order, validate_table
@@ -1109,6 +1109,45 @@ def test_a_planted_chunk_kind_fails_only_its_structural_form(named, cr4, capsys,
     assert main(["verify", "--profile", "quick"]) == 3
     failed = [(r["check"], r["scope"]) for r in map(json.loads, capsys.readouterr().out.splitlines()) if not r["ok"]]
     assert failed == [("structural-form", name)]
+
+
+def test_a_planted_non_absorbing_chain_fails_structural_form(named, cr4, monkeypatch):
+    # negative control for either half of the absorption test: the left zero
+    # pair {0, 1} given as two stacked chunks has 0*1 = 0 but 1*0 = 1, so
+    # only the second product tells the chain is not absorbing
+    name, mask = "left-zero-3", 0b011
+    target = named[name]
+    real = statements.structural_form
+
+    def structural_form(s, am):
+        if s == target and am == mask:
+            return BreakableForm((0b001, 0b010), ("left-zero", "left-zero"))
+        return real(s, am)
+
+    monkeypatch.setattr(statements, "structural_form", structural_form)
+    failed = [(r.check, r.scope, r.witness) for r in check_member_statements(cr4) if not r.ok]
+    assert failed == [("structural-form", name, "subset 0x3: absorption fails at (0,1)")]
+
+
+def test_a_planted_missed_cover_fails_drop_nonmaximal_covers(named, cr4, monkeypatch):
+    # negative control for the cover conjunct of drop-nonmaximal-covers: the
+    # reduced subset is in the pair class and strictly above, so only a cover
+    # test that answers False can fail the record
+    name = "lz2-over-zero"
+    target = named[name]
+    real = power.Power.covers
+    planted = []
+
+    def covers(self, am, bm):
+        if self.base == target and not planted:
+            planted.append((am, bm))
+            return False
+        return real(self, am, bm)
+
+    monkeypatch.setattr(power.Power, "covers", covers)
+    failed = [(r.check, r.scope, r.witness) for r in check_member_statements(cr4) if not r.ok]
+    assert failed == [("drop-nonmaximal-covers", name, "dropping 0 from 0x3 is not an immediate successor")]
+    assert planted == [(0b011, 0b010)]
 
 
 def test_transfer_work_is_done_once_per_table_and_map(cr5):
