@@ -26,7 +26,6 @@ from .breakable import (
 )
 from .families import canonical_form, corpus, enumerate_small
 from .globaldet import (
-    Transfer,
     construct_eta,
     extract_theta,
     lift,

@@ -30,8 +30,6 @@ from .statements import verify_member_statements
 from .structure import decompose
 from .verify import collect_psis, records_to_json_lines, run_all, summarize, transfer_map
 
-ENV_INJECT = "CRGLOBAL_INJECT"
-
 
 def parse_table_text(text: str) -> CayleyTable:
     """JSON document or plain text: first line the order, then the rows."""
@@ -180,9 +178,8 @@ def cmd_globaliso(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inject = bool(os.environ.get(ENV_INJECT))
     try:
-        records = run_all(args.profile, inject_non_cr=inject)
+        records = run_all(args.profile)
     except FalsificationError:
         raise
     except SemigroupError as exc:

@@ -165,7 +165,7 @@ def strong_semilattice(
     for a in range(k):
         for b in range(k):
             for c in range(k):
-                if a != b and b != c and ty[a][b] == b and ty[b][c] == c:
+                if ty[a][b] == b and ty[b][c] == c:
                     ab, bc, ac = hom(a, b), hom(b, c), hom(a, c)
                     if any(bc[ab[x]] != ac[x] for x in range(components[a].order)):
                         raise BadSpecError(f"structure maps do not compose along {a}>{b}>{c}")

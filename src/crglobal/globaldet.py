@@ -95,21 +95,10 @@ def extract_theta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Is
 # -- the element map ----------------------------------------------------------
 
 
-class Transfer:
-    """The maps one subset isomorphism transfers to: the component map
-    ``theta`` and the element isomorphism ``eta`` built on it."""
-
-    def __init__(self, theta: IsoMap, eta: IsoMap):
-        self.theta = theta
-        self.eta = eta
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Transfer and vars(self) == vars(other)
-
-
-def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Transfer:
+def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> tuple[IsoMap, IsoMap]:
     """Assemble and verify the element-level isomorphism induced by ``psi``,
-    returned with the component map extracted on the way.
+    returned as ``(theta, eta)`` with the component map ``theta`` extracted
+    on the way.
 
     On components that are neither left nor right zero the subset map already
     sends singletons to singletons and is used directly.  On zero components
@@ -152,4 +141,4 @@ def construct_eta(psi: IsoMap, dec_a: Decomposition, dec_b: Decomposition) -> Tr
                     eta[x] = y
     if not verify_morphism(dec_a.base, dec_b.base, eta):
         raise EtaNotMorphismError("constructed map is not an isomorphism")
-    return Transfer(theta, IsoMap("elements", tuple(eta)))
+    return theta, IsoMap("elements", tuple(eta))

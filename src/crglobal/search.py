@@ -166,18 +166,14 @@ def _joint_colors(a: CayleyTable, b: CayleyTable) -> tuple[list[int], list[int]]
     numbers of elements in the two tables: refinement only splits colours,
     so the tables cannot be isomorphic.
     """
-    same = a.table == b.table
-    basea = _base_signature(a)
-    ca, cb = _canon_pair(basea, basea if same else _base_signature(b))
+    ca, cb = _canon_pair(_base_signature(a), _base_signature(b))
     if sorted(ca) != sorted(cb):
         return ca, cb
-    ha = _neighbourhoods(a)
-    hb = ha if same else _neighbourhoods(b)
+    ha, hb = _neighbourhoods(a), _neighbourhoods(b)
     refine = _refine_bytes if a.order <= BYTE_ORDER else _refine_ints
     count = len(set(ca))
     while True:
-        rawa = refine(ha, ca)
-        ca, cb = _canon_pair(rawa, rawa if same else refine(hb, cb))
+        ca, cb = _canon_pair(refine(ha, ca), refine(hb, cb))
         if sorted(ca) != sorted(cb):
             return ca, cb
         new_count = len(set(ca))

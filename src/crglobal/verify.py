@@ -15,7 +15,6 @@ from .core import (
     CayleyTable,
     is_completely_regular,
     is_left_zero,
-    validate_table,
 )
 from .errors import FalsificationError, ThetaNotSingletonError
 from .families import corpus
@@ -34,8 +33,6 @@ from .statements import (  # noqa: F401
     verify_statement_suite,
 )
 from .structure import decompose
-
-NON_CR_INJECTION = validate_table([[0, 0], [0, 0]])
 
 
 def records_to_json_lines(records: list[Record]) -> str:
@@ -65,12 +62,10 @@ def cr_members(members, max_order: int) -> list[tuple[str, CayleyTable]]:
 
 
 class SweepResult:
-    def __init__(self, records: list[Record], psi_total: int, nonsingleton_on_left_zero: int,
-                 etas: dict[tuple[str, str, int], IsoMap]):
+    def __init__(self, records: list[Record], psi_total: int, nonsingleton_on_left_zero: int):
         self.records = records
         self.psi_total = psi_total
         self.nonsingleton_on_left_zero = nonsingleton_on_left_zero
-        self.etas = etas
 
 
 def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> tuple[list[IsoMap], list[IsoMap]]:
@@ -78,19 +73,10 @@ def collect_psis(s: CayleyTable, s2: CayleyTable, limit: int = 8) -> tuple[list[
     plus a direct search over the materialized power tables, deduplicated, in
     discovery order."""
     phis = find_isomorphisms(s, s2, limit=limit)
-    psis: list[IsoMap] = []
-    seen = set()
-    for phi in phis:
-        psi = lift(phi)
-        if psi.forward not in seen:
-            seen.add(psi.forward)
-            psis.append(psi)
-    pa, pb = power_table(s), power_table(s2)
-    for psi in find_isomorphisms(pa, pb, limit=limit, kind="subsets"):
-        if psi.forward not in seen:
-            seen.add(psi.forward)
-            psis.append(psi)
-    return phis, psis
+    psis = {psi.forward: psi for psi in map(lift, phis)}
+    for psi in find_isomorphisms(power_table(s), power_table(s2), limit=limit, kind="subsets"):
+        psis.setdefault(psi.forward, psi)
+    return phis, list(psis.values())
 
 
 def transfer_map(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> tuple[IsoMap | FalsificationError, IsoMap | FalsificationError, list[Record]]:
@@ -99,8 +85,7 @@ def transfer_map(s: CayleyTable, s2: CayleyTable, psi: IsoMap) -> tuple[IsoMap |
     the records of the statement suite run on ``theta``."""
     dec_a, dec_b = decompose(s), decompose(s2)
     try:
-        transfer = construct_eta(psi, dec_a, dec_b)
-        theta, eta = transfer.theta, transfer.eta
+        theta, eta = construct_eta(psi, dec_a, dec_b)
     except ThetaNotSingletonError as exc:
         theta = eta = exc
     except FalsificationError as exc:
@@ -118,7 +103,6 @@ def global_sweep(members) -> SweepResult:
     records: list[Record] = []
     psi_total = 0
     nonsingleton = 0
-    etas: dict[tuple[str, str, int], IsoMap] = {}
     pool = list(members)
     for i, (name_a, s) in enumerate(pool):
         for name_b, s2 in pool[i:]:
@@ -140,10 +124,8 @@ def global_sweep(members) -> SweepResult:
                 for check, found in (("theta-extraction", theta), ("eta-construction", eta)):
                     witness = str(found) if isinstance(found, FalsificationError) else None
                     records.append(Record(check, pscope, 1, witness is None, witness))
-                if not isinstance(eta, FalsificationError):
-                    etas[(name_a, name_b, k)] = eta
                 records += [Record(rec.check, pscope, rec.instances, rec.ok, rec.witness) for rec in suite]
-    return SweepResult(records, psi_total, nonsingleton, etas)
+    return SweepResult(records, psi_total, nonsingleton)
 
 
 def coverage_records(records: list[Record]) -> list[Record]:
@@ -164,32 +146,17 @@ def coverage_records(records: list[Record]) -> list[Record]:
     ]
 
 
-def run_all(profile: str = "full", inject_non_cr: bool = False) -> list[Record]:
+def run_all(profile: str = "full") -> list[Record]:
     """The verification battery over ``corpus(profile)``: the member statements
     on its completely regular members of order <= 6, the sweep on those of order <= 5."""
     cr = cr_members(corpus(profile), 6)
-    # negative control: smuggle a non-regular table past the filter
-    injected = [("injected-non-cr", NON_CR_INJECTION)] if inject_non_cr else []
-    records = check_member_statements(cr + injected)
+    records = check_member_statements(cr)
     sweep = global_sweep([(name, s) for name, s in cr if s.order <= 5])
     records.extend(sweep.records)
     records.extend(coverage_records(records))
-    records.append(
-        Record(
-            "psi-instance-floor",
-            "sweep",
-            sweep.psi_total,
-            sweep.psi_total >= 20,
-            None if sweep.psi_total >= 20 else f"only {sweep.psi_total} subset isomorphisms",
-        )
-    )
-    records.append(
-        Record(
-            "nonsingleton-psi-on-left-zero",
-            "sweep",
-            sweep.nonsingleton_on_left_zero,
-            sweep.nonsingleton_on_left_zero >= 1,
-            None if sweep.nonsingleton_on_left_zero else "no such isomorphism found",
-        )
-    )
+    for check, count, floor, witness in (
+        ("psi-instance-floor", sweep.psi_total, 20, f"only {sweep.psi_total} subset isomorphisms"),
+        ("nonsingleton-psi-on-left-zero", sweep.nonsingleton_on_left_zero, 1, "no such isomorphism found"),
+    ):
+        records.append(Record(check, "sweep", count, count >= floor, None if count >= floor else witness))
     return records

@@ -1,11 +1,17 @@
 import pytest
 
-from crglobal import families
+from crglobal import families, verify
+from crglobal.core import validate_table
 from crglobal.verify import cr_members, global_sweep
 
+# the null semigroup of order 2: not completely regular, so every statement
+# that assumes it fails on this table
+NON_CR_TABLE = validate_table([[0, 0], [0, 0]])
+
 # sha256 of `verify` stdout per profile, and of `verify --profile quick` with
-# CRGLOBAL_INJECT set; a change that alters the output on purpose updates
-# these digests and says so in CHANGES.md
+# NON_CR_TABLE planted as a member by the `planted_non_cr` fixture; a change
+# that alters the output on purpose updates these digests and says so in
+# CHANGES.md
 VERIFY_DIGESTS = {
     "full": "f993235825299aaabe090e0b294118634155136cca5e64b1b6209892afa8ff19",
     "quick": "8666ca0e143041529e7d8519797fbb2f580dabce80e0f661a2a39e644d08e180",
@@ -16,6 +22,19 @@ VERIFY_DIGESTS = {
 @pytest.fixture(scope="session")
 def verify_digests():
     return VERIFY_DIGESTS
+
+
+@pytest.fixture
+def planted_non_cr(monkeypatch):
+    """Negative control: the battery's member statements also run on
+    NON_CR_TABLE, as a last member named ``injected-non-cr``, smuggled past
+    the completely regular filter."""
+    real = verify.check_member_statements
+
+    def check_member_statements(members):
+        return real([*members, ("injected-non-cr", NON_CR_TABLE)])
+
+    monkeypatch.setattr(verify, "check_member_statements", check_member_statements)
 
 
 @pytest.fixture(scope="session")

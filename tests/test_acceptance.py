@@ -92,7 +92,7 @@ def test_criterion_6_element_map(sweep):
         f"({len(eta_records)} constructions)"
     )
     assert eta_records and not bad, bad[:5]
-    assert len(sweep.etas) == len(eta_records)
+    assert len(eta_records) == sweep.psi_total
 
 
 def test_criterion_6_runtime(cr5):
@@ -135,8 +135,7 @@ def test_criterion_8_order_12_enumeration():
     assert ep and a3
 
 
-def test_criterion_9_determinism(capsys, monkeypatch, verify_digests):
-    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
+def test_criterion_9_determinism(capsys, verify_digests):
     assert main(["verify", "--profile", "full"]) == 0
     first = capsys.readouterr().out
     assert main(["verify", "--profile", "full"]) == 0
@@ -156,7 +155,6 @@ def test_verify_digests_in_a_fresh_interpreter(verify_digests):
     # the in-process runs above share derived data with earlier tests; a
     # fresh interpreter builds every derived value in the order verify asks
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("CRGLOBAL_INJECT", None)
     for profile in ("quick", "full"):
         run = subprocess.run(
             [sys.executable, "-m", "crglobal.cli", "verify", "--profile", profile],

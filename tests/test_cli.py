@@ -223,8 +223,7 @@ def test_globaliso_rejects_limit_zero(tmp_path, capsys):
     assert_one_line_error(capsys)
 
 
-def test_verify_quick_passes_and_is_deterministic(capsys, monkeypatch):
-    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
+def test_verify_quick_passes_and_is_deterministic(capsys):
     assert main(["verify", "--profile", "quick"]) == 0
     first = capsys.readouterr().out
     assert main(["verify", "--profile", "quick"]) == 0
@@ -235,8 +234,7 @@ def test_verify_quick_passes_and_is_deterministic(capsys, monkeypatch):
         assert rec["ok"] is True
 
 
-def test_verify_injection_fails(capsys, monkeypatch, verify_digests):
-    monkeypatch.setenv("CRGLOBAL_INJECT", "1")
+def test_verify_injection_fails(capsys, planted_non_cr, verify_digests):
     assert main(["verify", "--profile", "quick"]) == 3
     out = capsys.readouterr().out
     bad = [json.loads(line) for line in out.strip().splitlines() if not json.loads(line)["ok"]]
@@ -248,7 +246,6 @@ def test_verify_injection_fails(capsys, monkeypatch, verify_digests):
 def test_verify_reports_a_library_contradiction_as_falsified(capsys, monkeypatch):
     # verify reads no input but its profile, so a refusal raised inside the
     # battery is the library contradicting itself: exit 3, never exit 2
-    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
     real = breakable.is_a3_mask
     planted = []
 

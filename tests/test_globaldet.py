@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import NON_CR_TABLE
 from oracles import (
     oracle_automorphism_count,
     oracle_is_isomorphism,
@@ -507,7 +508,7 @@ def test_the_transfer_refuses_a_subset_map_of_another_carrier(psi_order, order):
     psi = lift(find_isomorphisms(source, source)[0])
     s = families.left_zero(order)
     dec = decompose(s)
-    theta = construct_eta(lift(find_isomorphisms(s, s)[0]), dec, dec).theta
+    theta, _ = construct_eta(lift(find_isomorphisms(s, s)[0]), dec, dec)
     for call in (extract_theta, construct_eta):
         with pytest.raises(ParentMismatchError):
             call(psi, dec, dec)
@@ -575,7 +576,6 @@ def test_sweep_files_a_refused_transfer(named, monkeypatch, error, theta_fails):
     assert all((r.ok, r.witness) == (False, "refused") for r in etas)
     want = (False, "refused") if theta_fails else (True, None)
     assert all((r.ok, r.witness) == want for r in thetas)
-    assert result.etas == {}
 
 
 def maximal_in(dec, alpha):
@@ -635,7 +635,7 @@ def test_adjoined_identity_members_force_singleton_images(named):
     assert len(psis) == 6  # the three bottom elements permute freely
     for psi in psis:
         assert is_singleton_preserving(psi, s.order)
-        eta = construct_eta(psi, dec, dec).eta
+        _, eta = construct_eta(psi, dec, dec)
         assert verify_morphism(s, s, eta.forward)
 
 
@@ -666,7 +666,7 @@ def test_construct_eta_left_zero_all_automorphisms():
     nonsingleton = [p for p in psis if not is_singleton_preserving(p, 2)]
     assert len(nonsingleton) == 4
     for psi in psis:
-        eta = construct_eta(psi, dec, dec).eta
+        _, eta = construct_eta(psi, dec, dec)
         assert verify_morphism(l2, l2, eta.forward) and sorted(eta.forward) == [0, 1]
 
 
@@ -674,16 +674,16 @@ def test_construct_eta_equals_phi_on_single_cs0_component():
     rb = families.rect_band(2, 2)
     dec = decompose(rb)
     for phi in find_isomorphisms(rb, rb, limit=8):
-        eta = construct_eta(lift(phi), dec, dec).eta
+        _, eta = construct_eta(lift(phi), dec, dec)
         assert eta.forward == phi.forward
 
 
 def test_construct_eta_trivial():
     t = families.left_zero(1)
     dec = decompose(t)
-    transfer = construct_eta(psis_of(t, t)[0], dec, dec)
-    assert transfer.eta.forward == (0,)
-    assert transfer.theta == extract_theta(psis_of(t, t)[0], dec, dec)
+    theta, eta = construct_eta(psis_of(t, t)[0], dec, dec)
+    assert eta.forward == (0,)
+    assert theta == extract_theta(psis_of(t, t)[0], dec, dec)
 
 
 def test_construct_eta_deterministic(named):
@@ -816,7 +816,8 @@ def test_the_transfer_refuses_every_transposed_non_isomorphism():
                 forward[i], forward[j] = forward[j], forward[i]
                 mutant = IsoMap("subsets", tuple(forward))
                 if verify_morphism(p, p, mutant.forward):
-                    assert verify_morphism(s, s, construct_eta(mutant, dec, dec).eta.forward), name
+                    _, eta = construct_eta(mutant, dec, dec)
+                    assert verify_morphism(s, s, eta.forward), name
                     transferred += 1
                 else:
                     with pytest.raises(ThetaNotSingletonError, match=BROKEN_PRODUCT):
@@ -850,7 +851,8 @@ def test_power_nonisomorphic_record_fails_when_a_subset_map_exists(named, monkey
     assert (rec.scope, rec.ok) == ("cyclic-3|cyclic-3", False)
     assert rec.witness == f"{result.psi_total} subset isomorphisms found" and result.psi_total > 0
     # the maps found are still transferred and checked
-    assert len(result.etas) == result.psi_total
+    eta_records = [r for r in result.records if r.check == "eta-construction"]
+    assert len(eta_records) == result.psi_total and all(r.ok for r in eta_records)
 
 
 def fresh(t):
@@ -921,7 +923,7 @@ def test_statements_is_the_order_of_every_runner_and_of_coverage(named):
     assert {side for _, side in STATEMENTS} == {"family", "member", "psi"}
     s = named["lz2-over-zero"]
     assert [r.check for r in check_member_statements([("lz2-over-zero", s)])] == statement_ids("family", "member")
-    non_cr = [("injected-non-cr", verify.NON_CR_INJECTION)]
+    non_cr = [("injected-non-cr", NON_CR_TABLE)]
     assert [r.check for r in check_member_statements(non_cr)] == statement_ids("family", "member")
     assert [r.check for r in verify_member_statements(s)] == statement_ids("member")
     assert [r.check for r in run_suite(s, s, psis_of(s, s)[0])] == statement_ids("psi")
@@ -929,16 +931,18 @@ def test_statements_is_the_order_of_every_runner_and_of_coverage(named):
     assert coverage == ids
 
 
-def test_an_injected_member_adds_no_coverage():
+def test_an_injected_member_adds_no_coverage(planted_non_cr, monkeypatch):
     # the injected member fails its 23 statements with no instance counted,
     # so every coverage row equals the run without it
     def coverage(records):
         return [r for r in records if r.check == "statement-coverage"]
 
-    injected = run_all("quick", inject_non_cr=True)
+    injected = run_all("quick")
+    monkeypatch.undo()
+    clean = run_all("quick")
     bad = [r for r in injected if not r.ok]
     assert len(bad) == 23 and all((r.scope, r.instances) == ("injected-non-cr", 0) for r in bad)
-    assert coverage(injected) == coverage(run_all("quick"))
+    assert coverage(injected) == coverage(clean)
 
 
 def test_a_refused_component_map_counts_no_instance(named):
@@ -986,7 +990,7 @@ def test_a_non_regular_table_fails_the_triple_scan_off_hypothesis():
     # the triple-product scan is sharp: on the null semigroup of order 2, off
     # the completely regular hypothesis, it disagrees with the direct check
     checks = {check: Record(check) for check in statement_ids("family")}
-    check_a3_equivalence(checks, verify.NON_CR_INJECTION)
+    check_a3_equivalence(checks, NON_CR_TABLE)
     rec = checks["a3-characterization-equivalence"]
     assert (rec.instances, rec.ok, rec.witness) == (1, False, "subset 0x1 is in the class but the scan disagrees")
 
@@ -1018,7 +1022,6 @@ def plant_sandwich_fault(monkeypatch, target):
 def test_a_planted_fault_fails_a_member_statement(named, tmp_path, capsys, monkeypatch):
     # negative control: a wrong sandwich of one member fails that member's
     # record, and both commands report a falsified statement
-    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
     name = "lz2-over-zero"
     plant_sandwich_fault(monkeypatch, named[name])
     [rec] = [r for r in check_member_statements([(name, named[name])]) if not r.ok]
@@ -1092,7 +1095,6 @@ def test_a_planted_chunk_kind_fails_only_its_structural_form(named, cr4, capsys,
     # negative control for a characterization family: one wrong chunk kind in
     # the chain form of one subset of one member fails that member's
     # structural-form record and nothing else
-    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
     name, mask = "left-zero-3", 0b011
     target = named[name]
     real = statements.structural_form
@@ -1176,7 +1178,6 @@ def test_transfer_work_is_done_once_per_table_and_map(cr5):
 def test_sweep_and_globaliso_transfer_each_map_through_transfer_map(cr4, named, tmp_path, capsys, monkeypatch):
     # one path from a subset map to its records: wrap transfer_map wherever a
     # crglobal module holds it, and both drivers call it once per map
-    monkeypatch.delenv("CRGLOBAL_INJECT", raising=False)
     real = verify.transfer_map
     calls = []
 

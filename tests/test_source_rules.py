@@ -8,7 +8,9 @@ state does on ``search.SearchState``.  An ``IsoMap`` is its forward map, with
 no trust flag that a reader could believe in place of checking the map.
 Every command starts a fresh interpreter, so the library imports nothing it
 does not use: no ``dataclasses``, whose import pulls in ``inspect`` and
-``ast``, and no ``typing``."""
+``ast``, and no ``typing``.  The library reads no environment variable: what
+a command does is fixed by its arguments, and a negative control is planted
+by the tests, not switched on from outside."""
 
 import ast
 import os
@@ -87,6 +89,28 @@ def dataclass_imports(tree: ast.Module) -> list[int]:
         if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
         or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
     ]
+
+
+# the names of module ``os`` that read the environment
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that read the environment: an ``os`` attribute in
+    ``ENVIRONMENT_READERS``, under any name ``os`` is imported as, or an
+    import of such a name from ``os``."""
+    modules = {
+        a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names if a.name == "os"
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ENVIRONMENT_READERS
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        or isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name in ENVIRONMENT_READERS for a in node.names)
+    )
 
 
 # modules whose import costs a cold start milliseconds and that the library does not use
@@ -237,6 +261,30 @@ def test_dataclass_imports_sees_each_spelling():
         "from .dataclasses_like import x\n"
     )
     assert dataclass_imports(tree) == [1, 2, 3]
+
+
+def test_the_library_reads_no_environment_variable():
+    found = [
+        f"{path.name}:{line}" for path in SOURCES for line in environment_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def test_environment_reads_sees_each_spelling():
+    # the rule's own control: each way of reaching the environment through
+    # os is reported, other os names and a local ``environ`` are not
+    tree = ast.parse(
+        "import os\n"
+        "import sys, os as system\n"
+        "from os import environ, path\n"
+        "from os import getenv as ge\n"
+        "home = os.environ['HOME']\n"
+        "flag = system.getenv('X')\n"
+        "where = os.path.join('a', 'b')\n"
+        "environ = {}\n"
+        "raw = os.environb\n"
+    )
+    assert environment_reads(tree) == [3, 4, 5, 6, 9]
 
 
 def test_the_cli_imports_no_unused_module():

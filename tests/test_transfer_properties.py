@@ -35,4 +35,5 @@ def test_transfer_on_relabelled_copies(case):
     assert len(find_isomorphisms(s, t, limit=10**6)) == oracle_automorphism_count(s), name
     dec_s, dec_t = decompose(s), decompose(t)
     for psi in collect_psis(s, t)[1]:
-        assert verify_morphism(s, t, construct_eta(psi, dec_s, dec_t).eta.forward), name
+        _, eta = construct_eta(psi, dec_s, dec_t)
+        assert verify_morphism(s, t, eta.forward), name

@@ -61,8 +61,7 @@ def run_verify(module: str | None = None, source: str | None = None) -> tuple[st
         shutil.copytree(LIBRARY, Path(tmp) / "crglobal", ignore=shutil.ignore_patterns("__pycache__"))
         if module is not None:
             (Path(tmp) / "crglobal" / f"{module}.py").write_text(source, encoding="utf-8")
-        env = {k: v for k, v in os.environ.items() if k != "CRGLOBAL_INJECT"}
-        env.update(PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0"}
         command = [sys.executable, "-m", "crglobal.cli", "verify", "--profile", "quick"]
         try:
             run = subprocess.run(command, env=env, capture_output=True, timeout=TIMEOUT)
