@@ -30,7 +30,7 @@ from .globaldet import (
     extract_theta,
     lift,
 )
-from .power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set, power_of, power_table
+from .power import Power, power_of, power_table
 from .search import IsoMap, find_isomorphisms, verify_morphism
 from .statements import (
     STATEMENTS,

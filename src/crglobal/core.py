@@ -106,16 +106,15 @@ def check_subset_mask(s: CayleyTable, mask: int) -> int:
 
 
 class GreenData:
-    """Per element: its L-, R-, H- and D-class ids, whether it is idempotent,
-    and the identity of its H-class where that is a group, else None."""
+    """Per element: its L-, R-, H- and D-class ids, and the identity of its
+    H-class where that is a group, else None."""
 
     def __init__(self, lclass: tuple[int, ...], rclass: tuple[int, ...], hclass: tuple[int, ...], dclass: tuple[int, ...],
-                 idempotent: tuple[bool, ...], local_identity: tuple[int | None, ...]):
+                 local_identity: tuple[int | None, ...]):
         self.lclass = lclass
         self.rclass = rclass
         self.hclass = hclass
         self.dclass = dclass
-        self.idempotent = idempotent
         self.local_identity = local_identity
 
 
@@ -211,7 +210,7 @@ def green_relations(s: CayleyTable) -> GreenData:
             continue  # a group H-class has exactly one idempotent
         for a in members:
             local_identity[a] = es[0]
-    return GreenData(lclass, rclass, hclass, dclass, idem, tuple(local_identity))
+    return GreenData(lclass, rclass, hclass, dclass, tuple(local_identity))
 
 
 def is_completely_regular(s: CayleyTable) -> bool:

@@ -46,10 +46,6 @@ class NotComparableError(SemigroupError):
     """Pair is not strictly ordered in the idempotent-subset order."""
 
 
-class NotLeftZeroError(SemigroupError):
-    """Subset is not a left zero subsemigroup."""
-
-
 class NotSubsemigroupError(SemigroupError):
     """Subset is not closed under the product."""
 

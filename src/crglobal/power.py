@@ -17,8 +17,8 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .core import CayleyTable, GreenData, bits, check_subset_mask, derived, green_relations, subset_or
-from .errors import NotComparableError, NotIdempotentError, NotLeftZeroError, OrderTooLargeError
+from .core import CayleyTable, GreenData, check_subset_mask, derived, green_relations, subset_or
+from .errors import NotComparableError, NotIdempotentError, OrderTooLargeError
 
 # masks are stored as 16-bit array entries
 MAX_ORDER = 16
@@ -133,14 +133,14 @@ def power_table(s: CayleyTable) -> CayleyTable:
     # lane 0, the empty mask, is 0 in every row and is dropped
     ones = int.from_bytes(array("H", [0] + [1] * size), order)
     width = 2 * (size + 1)
-    # entries above 256, past CPython's shared small ints, are read from one
-    # list so that equal entries share one int object
-    shared = list(range(size)).__getitem__ if size > 257 else None
+    # entries are read from one list, so that equal entries share one int
+    # object also above 256, past CPython's shared small ints
+    shared = list(range(size)).__getitem__
     rows = []
     for lane in lanes[1:]:
         row = array("H")
         row.frombytes((lane - ones).to_bytes(width, order))
-        rows.append(tuple(map(shared, row[1:]) if shared else row[1:]))
+        rows.append(tuple(map(shared, row[1:])))
     return CayleyTable(size, tuple(rows))
 
 
@@ -153,21 +153,3 @@ def positions(vector: array | tuple[int, ...], value: int):
         except ValueError:
             return
         yield i
-
-
-def h_class_of_idempotent_singleton(p: Power, e: int) -> list[int]:
-    """H-class of the singleton {e} in the power semigroup, e idempotent."""
-    if p.base.table[e][e] != e:
-        raise NotIdempotentError(f"element {e} is not idempotent")
-    return p.h_class(1 << e)
-
-
-def h_class_of_left_zero_set(p: Power, em: int) -> list[int]:
-    """H-class of a left zero subsemigroup E in the power semigroup."""
-    check_subset_mask(p.base, em)
-    t = p.base.table
-    for i in bits(em):
-        for j in bits(em):
-            if t[i][j] != i:
-                raise NotLeftZeroError(f"{i}*{j}={t[i][j]}, so the subset is not left zero")
-    return p.h_class(em)

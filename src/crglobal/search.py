@@ -55,20 +55,14 @@ def _order_profile(t: CayleyTable, x: int) -> tuple[int, int]:
 
 @derived
 def _base_signature(t: CayleyTable) -> list:
+    # the order profile is (1, 1) exactly at idempotents, and Green's lemma
+    # gives |H| = |L|*|R|/|D|, so neither needs a field of its own
     g = green_relations(t)
     lsz = Counter(g.lclass)
     rsz = Counter(g.rclass)
-    hsz = Counter(g.hclass)
     dsz = Counter(g.dclass)
     return [
-        (
-            _order_profile(t, x),
-            g.idempotent[x],
-            lsz[g.lclass[x]],
-            rsz[g.rclass[x]],
-            hsz[g.hclass[x]],
-            dsz[g.dclass[x]],
-        )
+        (_order_profile(t, x), lsz[g.lclass[x]], rsz[g.rclass[x]], dsz[g.dclass[x]])
         for x in range(t.order)
     ]
 

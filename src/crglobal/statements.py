@@ -24,7 +24,7 @@ from .breakable import (
 )
 from .core import CayleyTable, bits, derived, green_relations, is_completely_regular, mask_of, natural_order, submasks, subset_or
 from .errors import FalsificationError, ParentMismatchError
-from .power import h_class_of_idempotent_singleton, h_class_of_left_zero_set, positions, power_of
+from .power import positions, power_of
 from .search import IsoMap
 from .structure import CS0, decompose, id_set_mask, rho_partition
 
@@ -169,12 +169,8 @@ def verify_member_statements(s: CayleyTable) -> list[Record]:
     record per member row of :data:`STATEMENTS`, in table order, counted as
     in :func:`verify_statement_suite`."""
     checks = {check: Record(check) for check, side in STATEMENTS if side == "member"}
-    prod = power_of(s).product_mask
-    _a3_shape_checks(checks, s, prod)
-    _rigidity_checks(checks, s)
-    _power_green_checks(checks, s)
-    _ep_order_checks(checks, s, prod)
-    _rho_checks(checks, s, prod)
+    for group in (_a3_shape_checks, _rigidity_checks, _power_green_checks, _ep_order_checks, _rho_checks):
+        group(checks, s)
     return list(checks.values())
 
 
@@ -305,11 +301,11 @@ def check_power_h_classes(checks, s: CayleyTable) -> None:
     g = green_relations(s)
     for e in range(s.order):
         if s.table[e][e] == e:
-            got = set(h_class_of_idempotent_singleton(p, e))
+            got = set(p.h_class(1 << e))
             want = {1 << x for x in range(s.order) if g.hclass[x] == g.hclass[e]}
             ck.count(got == want, "singleton {{{}}}: got {}, expected {}", e, sorted(got), sorted(want))
     for em in left_zero_subset_masks(s):
-        got = set(h_class_of_left_zero_set(p, em))
+        got = set(p.h_class(em))
         translates = [
             {p.product_mask(em, 1 << a) for a in range(s.order) if g.hclass[a] == g.hclass[e]} for e in bits(em)
         ]
@@ -335,10 +331,11 @@ def _image_bijections(checks, s: CayleyTable, s2: CayleyTable, image: list[int])
         ck.count(images == dst.keys(), "images cover {} of {} targets", len(images), len(dst))
 
 
-def _a3_shape_checks(checks, s: CayleyTable, prod) -> None:
+def _a3_shape_checks(checks, s: CayleyTable) -> None:
     g = green_relations(s)
     dec = decompose(s)
-    sq = power_of(s).squares
+    p = power_of(s)
+    sq, prod = p.squares, p.product_mask
     ck_id = checks["a3-local-identities"]
     ck_root = checks["a3-square-root-rigid"]
     ck_sup = checks["a3-square-support"]
@@ -470,9 +467,10 @@ def _ideal_checks(checks, s: CayleyTable, s2: CayleyTable, image: list[int]) -> 
         )
 
 
-def _ep_order_checks(checks, s: CayleyTable, prod) -> None:
+def _ep_order_checks(checks, s: CayleyTable) -> None:
     dec = decompose(s)
     p = power_of(s)
+    prod = p.product_mask
     a2 = enumerate_a2_masks(s)
     for am in a2:
         ids_a = id_set_mask(am, dec)
@@ -624,8 +622,9 @@ def _cross_component_checks(
                     )
 
 
-def _rho_checks(checks, s: CayleyTable, prod) -> None:
+def _rho_checks(checks, s: CayleyTable) -> None:
     dec = decompose(s)
+    prod = power_of(s).product_mask
     t = s.table
     sandwiches = _sandwiches(s)
     ck_col = checks["rho-sandwich-collapse"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations, product
 
-from crglobal.core import CayleyTable
+from crglobal.core import CayleyTable, green_relations
 from crglobal.search import _base_signature, _canon_pair, _joint_colors
 
 
@@ -131,6 +131,25 @@ def oracle_mask(elements) -> int:
 def _first_occurrence(keys) -> tuple[int, ...]:
     seen: dict = {}
     return tuple(seen.setdefault(k, len(seen)) for k in keys)
+
+
+def oracle_base_signature(t: CayleyTable) -> list:
+    """Per element x: the tail and cycle length of x, x^2, x^3, ... by
+    literal powers, whether x*x == x, and the sizes of its L-, R-, H- and
+    D-class: the six fields the search's base signature once had, the
+    reference for the partition that its four fields give."""
+    g = green_relations(t)
+    classes = (g.lclass, g.rclass, g.hclass, g.dclass)
+    sizes = [Counter(ids) for ids in classes]
+    out = []
+    for x in range(t.order):
+        powers = [x]
+        while (y := t.table[powers[-1]][x]) not in powers:
+            powers.append(y)
+        tail = powers.index(y) + 1
+        profile = (tail, len(powers) + 1 - tail)
+        out.append((profile, t.table[x][x] == x, *(size[ids[x]] for size, ids in zip(sizes, classes))))
+    return out
 
 
 def oracle_neighbourhoods(t: CayleyTable) -> list:

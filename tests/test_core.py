@@ -132,7 +132,7 @@ def test_local_identity_inverse_laws(cr6):
         for a in range(s.order):
             e = g.local_identity[a]
             assert t[e][a] == a == t[a][e], name
-            assert g.idempotent[e] and g.hclass[e] == g.hclass[a], name
+            assert t[e][e] == e and g.hclass[e] == g.hclass[a], name
             # the H-class of a is a group: a has exactly one inverse in it
             inverses = [x for x in range(s.order) if g.hclass[x] == g.hclass[a] and t[a][x] == e == t[x][a]]
             assert len(inverses) == 1, (name, a)

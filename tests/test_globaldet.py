@@ -15,6 +15,7 @@ import pytest
 from conftest import NON_CR_TABLE
 from oracles import (
     oracle_automorphism_count,
+    oracle_base_signature,
     oracle_is_isomorphism,
     oracle_joint_colors,
     oracle_neighbourhoods,
@@ -53,9 +54,11 @@ from crglobal.statements import (
 )
 from crglobal.structure import LEFT_ZERO, RIGHT_ZERO, Decomposition, decompose, rho_partition
 from crglobal.verify import (
+    SweepResult,
     check_a3_equivalence,
     check_member_statements,
     collect_psis,
+    coverage_records,
     cr_members,
     global_sweep,
     run_all,
@@ -91,6 +94,18 @@ def test_find_isomorphisms_rejects_limit_below_one():
     for limit in (0, -1):
         with pytest.raises(ValueError, match="limit must be at least 1"):
             find_isomorphisms(l2, l2, limit=limit)
+
+
+def test_find_isomorphisms_takes_a_limit_of_one():
+    # the least limit the search admits: left-zero-3 has six automorphisms
+    l3 = families.left_zero(3)
+    assert len(find_isomorphisms(l3, l3, limit=1)) == 1
+
+
+def test_iso_maps_with_other_images_differ():
+    # negative control for IsoMap equality: one kind, other images
+    assert IsoMap("elements", (0, 1)) != IsoMap("elements", (1, 0))
+    assert IsoMap("elements", (0, 1)) == IsoMap("elements", (0, 1))
 
 
 def test_find_isomorphisms_budget(monkeypatch):
@@ -215,6 +230,25 @@ def test_joint_colors_match_the_counter_reference_on_both_sides_of_the_byte_limi
         ca, cb = search._joint_colors(a, b)
         assert len(set(ca)) > 1
         assert (ca, cb) == oracle_joint_colors(a, b), a.order
+
+
+def test_base_signature_splits_tables_as_the_six_field_reference(corpus_members):
+    # idempotency is the order profile (1, 1), and Green's lemma gives
+    # |H| = |L|*|R|/|D|, so dropping both fields keeps every partition; the
+    # signatures of all tables are numbered together, as the joint colours are
+    tables = [t for _, s in corpus_members if s.order <= 6 for t in (s, power_table(s))]
+    tables += [s for n in (1, 2, 3) for s in families.enumerate_small(n)]
+    tables += [power_table(families.rect_band(2, 4)), power_table(families.adjoin_identity(families.left_zero(8)))]
+
+    def partitions(signature):
+        joint = [key for t in tables for key in signature(t)]
+        return [search._canon_pair(signature(t), [])[0] for t in tables], search._canon_pair(joint, [])[0]
+
+    want = partitions(oracle_base_signature)
+    assert partitions(search._base_signature) == want
+    # control: without the R-class size, some table splits otherwise
+    no_rsz = partitions(lambda t: [(profile, l, d) for profile, l, _, d in search._base_signature(t)])
+    assert no_rsz[0] != want[0] and no_rsz[1] != want[1]
 
 
 def test_refine_keys_tell_apart_nearby_neighbourhoods():
@@ -867,9 +901,9 @@ def test_member_statements_run_once_per_member(cr4, monkeypatch):
     in_suite = []
     shape_checks = statements._a3_shape_checks
 
-    def counting_shape_checks(checks, s, prod):
+    def counting_shape_checks(checks, s):
         shape_runs.append((s, bool(in_suite)))
-        return shape_checks(checks, s, prod)
+        return shape_checks(checks, s)
 
     suites = []
 
@@ -943,6 +977,27 @@ def test_an_injected_member_adds_no_coverage(planted_non_cr, monkeypatch):
     bad = [r for r in injected if not r.ok]
     assert len(bad) == 23 and all((r.scope, r.instances) == ("injected-non-cr", 0) for r in bad)
     assert coverage(injected) == coverage(clean)
+
+
+def test_coverage_fails_every_statement_without_instances():
+    # negative control for the coverage test: no records, no instances
+    witness = "statement never instantiated over the sweep"
+    assert [(r.check, r.scope, r.instances, r.ok, r.witness) for r in coverage_records([])] == [
+        ("statement-coverage", name, 0, False, witness) for name, _ in STATEMENTS
+    ]
+
+
+@pytest.mark.parametrize(
+    "psi_total, nonsingleton, ok", [(20, 1, True), (19, 0, False)], ids=["at-the-floors", "one-below"]
+)
+def test_sweep_floors_pass_exactly_from_their_values(monkeypatch, psi_total, nonsingleton, ok):
+    # each floor record passes with its count at the floor and fails one below
+    monkeypatch.setattr(verify, "global_sweep", lambda members: SweepResult([], psi_total, nonsingleton))
+    floors = [(r.check, r.instances, r.ok, r.witness) for r in run_all("quick") if r.scope == "sweep"]
+    assert floors == [
+        ("psi-instance-floor", psi_total, ok, None if ok else f"only {psi_total} subset isomorphisms"),
+        ("nonsingleton-psi-on-left-zero", nonsingleton, ok, None if ok else "no such isomorphism found"),
+    ]
 
 
 def test_a_refused_component_map_counts_no_instance(named):
@@ -1047,7 +1102,7 @@ def test_a_planted_local_identity_fails_rigid_cube_identity(named):
     t = fresh(named["left-zero-2"])
     g = green_relations(t)
     assert g.local_identity == (0, 1)
-    t._derived[green_relations.__wrapped__] = GreenData(g.lclass, g.rclass, g.hclass, g.dclass, g.idempotent, (1, 1))
+    t._derived[green_relations.__wrapped__] = GreenData(g.lclass, g.rclass, g.hclass, g.dclass, (1, 1))
     [rec] = [r for r in verify_member_statements(t) if r.check == "rigid-cube-identity"]
     assert (rec.instances, rec.ok, rec.witness) == (4, False, "a=0 in 0x1: cube 0, identity 1")
 
@@ -1129,6 +1184,28 @@ def test_a_planted_non_absorbing_chain_fails_structural_form(named, cr4, monkeyp
     monkeypatch.setattr(statements, "structural_form", structural_form)
     failed = [(r.check, r.scope, r.witness) for r in check_member_statements(cr4) if not r.ok]
     assert failed == [("structural-form", name, "subset 0x3: absorption fails at (0,1)")]
+
+
+def test_a_non_group_top_fails_the_form_problem():
+    # negative control for the group-top test: on the null semigroup of
+    # order 2, 1*1 = 0 is the one idempotent, so only 1*0 != 1 tells that
+    # {0, 1} is not a two-element group
+    form = BreakableForm((0b11,), ("two-group-top",))
+    assert statements._form_problem(NON_CR_TABLE.table, 0b11, form, False) == "group top is not a two-element group"
+
+
+def test_a_planted_one_sided_absorption_fails_rigid_lower_slice_zero(named):
+    # negative control for the absorption of rigid-lower-slice-zero: left-zero-2
+    # decomposed as chain-2 puts {0} below {1}, and 0*1 = 0 but 1*0 = 1, so
+    # only the second product tells that the lower slice does not absorb
+    t = fresh(named["left-zero-2"])
+    chain = decompose(named["chain-2"])
+    t._derived[decompose.__wrapped__] = Decomposition(
+        t, chain.semilattice, chain.component_of, chain.components, chain.classification,
+        chain.below, chain.above, chain.zero_components,
+    )
+    [rec] = [r for r in verify_member_statements(t) if r.check == "rigid-lower-slice-zero"]
+    assert (rec.instances, rec.ok, rec.witness) == (2, False, "absorption fails for 0,1 in 0x3")
 
 
 def test_a_planted_missed_cover_fails_drop_nonmaximal_covers(named, cr4, monkeypatch):

@@ -11,12 +11,11 @@ from crglobal.errors import (
     EmptySubsetError,
     NotComparableError,
     NotIdempotentError,
-    NotLeftZeroError,
     OrderTooLargeError,
     ParentMismatchError,
 )
 from crglobal.verify import cr_members
-from crglobal.power import Power, h_class_of_idempotent_singleton, h_class_of_left_zero_set, power_of, power_table
+from crglobal.power import Power, power_of, power_table
 
 
 def test_product_examples():
@@ -42,7 +41,6 @@ def test_mask_entry_points_check_parent_and_emptiness():
         lambda m: p.ep_lt_mask(m, 0b01),
         lambda m: p.ep_lt_mask(m, m),
         p.h_class,
-        lambda m: h_class_of_left_zero_set(p, m),
         lambda m: a3_counterexample(p, m),
         lambda m: a2_counterexample(p, m),
         lambda m: is_subsemigroup_mask(p.base, m),
@@ -177,25 +175,21 @@ def test_covers_examples(named):
 
 def test_h_class_of_idempotent_singleton_examples():
     z2 = families.cyclic_group(2)
-    got = h_class_of_idempotent_singleton(power_of(z2), 0)
+    got = power_of(z2).h_class(1 << 0)
     assert sorted(got) == [1, 2]
     l2 = families.left_zero(2)
-    assert sorted(h_class_of_idempotent_singleton(power_of(l2), 0)) == [1]
+    assert sorted(power_of(l2).h_class(1 << 0)) == [1]
     t = families.left_zero(1)
-    assert sorted(h_class_of_idempotent_singleton(power_of(t), 0)) == [1]
-    with pytest.raises(NotIdempotentError):
-        h_class_of_idempotent_singleton(power_of(families.cyclic_group(2)), 1)
+    assert sorted(power_of(t).h_class(1 << 0)) == [1]
 
 
 def test_h_class_of_left_zero_set_examples():
     l2 = families.left_zero(2)
-    assert sorted(h_class_of_left_zero_set(power_of(l2), 0b11)) == [3]
+    assert sorted(power_of(l2).h_class(0b11)) == [3]
     rb = families.rect_band(2, 2)
     # an L-class {(0,0),(1,0)} is a left zero subsemigroup: indices 0 and 2
     e_set = 0b0101
-    assert sorted(h_class_of_left_zero_set(power_of(rb), e_set)) == [e_set]
-    with pytest.raises(NotLeftZeroError):
-        h_class_of_left_zero_set(power_of(rb), 0b0011)
+    assert sorted(power_of(rb).h_class(e_set)) == [e_set]
 
 
 def test_right_ideal_examples():
@@ -240,11 +234,19 @@ def test_power_green_matches_set_product_oracle(cr5, corpus_members):
 def test_h_class_refuses_where_power_green_refuses():
     s = families.tower_12()
     p = power_of(s)
-    e = next(e for e in range(s.order) if s.table[e][e] == e)
+    t = s.table
+    e = next(e for e in range(s.order) if t[e][e] == e)
+    # a left zero pair {i, j}: i*j = i and j*i = j, both idempotent
+    em = next(
+        (1 << i) | (1 << j)
+        for i in range(s.order)
+        for j in range(i + 1, s.order)
+        if t[i][j] == t[i][i] == i and t[j][i] == t[j][j] == j
+    )
     with pytest.raises(OrderTooLargeError):
-        h_class_of_idempotent_singleton(p, e)
+        p.h_class(1 << e)
     with pytest.raises(OrderTooLargeError):
-        h_class_of_left_zero_set(p, 1 << e)
+        p.h_class(em)
 
 
 def _elements(mask):
